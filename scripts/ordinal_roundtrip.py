@@ -16,7 +16,10 @@ from ordfa.ordinal import format_ordinal, parse_ordinal
 from ordfa.ordtype import order_type
 from ordfa.synth import synth
 
-SHOWCASE = ["0", "1", "5", "w", "w + 1", "w*3", "w^2", "w^2*3 + w + 4", "w^4 + w^2*2 + 7"]
+SHOWCASE = [
+    "0", "1", "5", "w", "w + 1", "w*3", "w^2", "w^2*3 + w + 4", "w^4 + w^2*2 + 7",
+    "1000000",
+]
 
 
 def main() -> int:

@@ -15,7 +15,7 @@ from .lexorder import (
 )
 from .ordinal import Ordinal, format_ordinal, parse_ordinal
 from .ordtype import LoopDecomposition, OrderTypeTable, order_type, rank, state_order_type
-from .synth import synth, synth_mul_omega, synth_one, synth_sum, synth_zero
+from .synth import synth, synth_mul_omega, synth_one, synth_sum, synth_times, synth_zero
 from .wellorder import CheckResult, Witness, check, verify_witness, witness_chain
 
 __all__ = [
@@ -53,6 +53,7 @@ __all__ = [
     "synth_mul_omega",
     "synth_one",
     "synth_sum",
+    "synth_times",
     "synth_zero",
     "to_json",
     "trim",

@@ -83,6 +83,8 @@ def _cmd_ordtype(args) -> int:
         print("not well-ordered")
         _print_witness(e.witness)
         return EXIT_NEGATIVE
+    except ordinal.DegreeOverflowError as e:
+        raise InputError(f"{args.file}: order type out of range: {e}") from e
     print(ordinal.format_ordinal(table.overall))
     if args.table:
         cond = dfa.condense(m)
@@ -129,6 +131,8 @@ def _cmd_rank(args) -> int:
         print("not well-ordered")
         _print_witness(e.witness)
         return EXIT_NEGATIVE
+    except ordinal.DegreeOverflowError as e:
+        raise InputError(f"{args.file}: order type out of range: {e}") from e
     return EXIT_OK
 
 

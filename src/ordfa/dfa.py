@@ -75,23 +75,39 @@ class Dfa:
         return len(self.delta)
 
     def step(self, q: int, letter: str) -> int:
-        return self.delta[q][_BIT[letter]]
+        """State reached from q by reading one letter; ValueError unless
+        the letter is '0' or '1'."""
+        try:
+            return self.delta[q][_BIT[letter]]
+        except KeyError:
+            raise ValueError(f"letter {letter!r} is not 0 or 1") from None
 
     def run(self, q: int, word: str) -> int:
-        """State reached from q by reading word."""
+        """State reached from q by reading word; ValueError, as from
+        `validate_word`, on a letter other than '0' and '1'."""
         delta = self.delta
-        for ch in word:
-            q = delta[q][_BIT[ch]]
+        try:
+            for ch in word:
+                q = delta[q][_BIT[ch]]
+        except KeyError:
+            raise ValueError(_bad_letter(word)) from None
         return q
 
     def accepts(self, word: str) -> bool:
         return self.run(self.start, word) in self.finals
 
 
+def _bad_letter(word: str) -> str:
+    """Message naming the first letter of word that is not 0 or 1."""
+    i, ch = next((i, ch) for i, ch in enumerate(word) if ch not in _BIT)
+    return f"letter {ch!r} at position {i} is not 0 or 1"
+
+
 def validate_word(word: str) -> str:
-    for i, ch in enumerate(word):
+    """word itself; ValueError at its first letter other than '0' and '1'."""
+    for ch in word:
         if ch not in _BIT:
-            raise ValueError(f"letter {ch!r} at position {i} is not 0 or 1")
+            raise ValueError(_bad_letter(word))
     return word
 
 

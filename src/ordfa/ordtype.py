@@ -60,7 +60,10 @@ def _decompose(m: Dfa, q: int, types: list[Ordinal | None]) -> LoopDecomposition
         flags.append(flag)
         if ch == "1":
             ext = types[m.delta[s][0]]
-            assert ext is not None, "exit target was not processed first"
+            if ext is None:
+                raise RuntimeError(
+                    f"exit target {m.delta[s][0]} of state {s} was not processed first"
+                )
         else:
             ext = Ordinal.zero()
         exits.append(ext)
@@ -112,7 +115,8 @@ def order_type(m: Dfa) -> OrderTypeTable:
         elif cond.nontrivial[cid]:
             for q in members:
                 dec = _decompose(m, q, types)
-                assert not dec.period_type.is_zero, "live recursive state"
+                if dec.period_type.is_zero:
+                    raise RuntimeError(f"live recursive state {q} has a lap of type 0")
                 types[q] = dec.period_type.times_omega()
         else:
             (q,) = members

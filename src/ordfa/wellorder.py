@@ -48,11 +48,17 @@ def witness_chain(w: Witness, n: int) -> str:
 
 def build_witness(m: Dfa, q: int) -> Witness:
     """Deterministic witness at failing state q: breadth-first shortest
-    words, ties resolved toward the letter 0."""
+    words, ties resolved toward the letter 0.  ValueError when q yields
+    no chain."""
     access = shortest_word(m, m.start, {q})
     loop = shortest_word(m, m.delta[q][0], {q})
     tail = shortest_word(m, m.delta[q][1], m.finals)
-    assert access is not None and loop is not None and tail is not None
+    if access is None or loop is None or tail is None:
+        raise ValueError(
+            f"state {q} is not a failing state: it is unreachable, its "
+            "0-edge does not lead back to it, or its 1-edge reaches no "
+            "final state"
+        )
     return Witness(access=access, loop=loop, tail=tail, state=q)
 
 

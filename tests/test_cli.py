@@ -105,6 +105,25 @@ def test_rank_bad_word(automaton_file, capsys):
     assert "error" in err
 
 
+def _omega_tower(height):
+    """Loop states 0..height-1 (state i loops on 1 and reads 0 into i+1),
+    a final state, and a sink: order type w^height."""
+    final, sink = height, height + 1
+    rows = [(i + 1, i) for i in range(height)] + [(sink, sink), (sink, sink)]
+    return Dfa(delta=tuple(rows), start=0, finals=frozenset({final}))
+
+
+def test_ordtype_and_rank_beyond_the_degree_bound(automaton_file, capsys):
+    path = automaton_file(_omega_tower(65))
+    for argv in (("ordtype", path), ("rank", path, "-w", "1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "degree 65 exceeds the bound 64" in err
+    assert run(capsys, "ordtype", automaton_file(_omega_tower(64))) == (0, "w^64\n", "")
+
+
 ###############################################################################
 # synth
 ###############################################################################

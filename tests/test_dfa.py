@@ -43,8 +43,12 @@ def test_accepts_examples():
 
 
 def test_run_rejects_bad_letter():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="letter 'x' at position 2 is not 0 or 1"):
         M_ONESTAR.run(0, "10x")
+    with pytest.raises(ValueError, match="letter '2' at position 0"):
+        M_ONESTAR.accepts("2")
+    with pytest.raises(ValueError, match="letter '2' is not 0 or 1"):
+        M_ONESTAR.step(0, "2")
 
 
 def test_validation():

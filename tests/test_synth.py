@@ -12,6 +12,7 @@ from ordfa.synth import (
     synth_mul_omega,
     synth_one,
     synth_sum,
+    synth_times,
     synth_zero,
 )
 from ordfa.wellorder import check
@@ -62,6 +63,40 @@ def test_synth_sum_keeps_left_below_right():
     assert order_type(m).overall == parse_ordinal("w + 1")
 
 
+def test_synth_times_language():
+    # the three length-2 words below 3, each followed by L(m) = {eps}
+    m = synth_times(synth_one(), 3)
+    assert enum_bounded(m, 4) == ["00", "01", "10"]
+    assert synth_times(synth_one(), 1) == synth_one()
+
+
+def test_synth_times_rejects_nonpositive():
+    with pytest.raises(ValueError):
+        synth_times(synth_one(), 0)
+
+
+def _times(a, c):
+    """a * c by repeated ordinal addition."""
+    return sum([a] * c, Ordinal.zero())
+
+
+_MULTIPLIERS = st.one_of(
+    st.integers(1, 40),
+    st.integers(0, 12).map(lambda k: 2**k),
+    st.integers(1, 12).flatmap(lambda k: st.sampled_from([2**k - 1, 2**k + 1])),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.integers(0, 3), max_size=4), _MULTIPLIERS)
+def test_synth_times_multiplies_types(coeffs, c):
+    a = Ordinal(coeffs)
+    m = synth_times(synth(a), c)
+    assert is_trim(m)
+    assert check(m).well_ordered
+    assert order_type(m).overall == _times(a, c)
+
+
 ###############################################################################
 # synth
 ###############################################################################
@@ -89,6 +124,11 @@ def test_synth_state_bound():
         m = synth(a)
         bound = 2 + sum(c * (k + 2) for k, c in enumerate(a.coeffs))
         assert m.state_count <= bound, text
+
+
+def test_synth_size_logarithmic_in_coefficients():
+    assert synth(parse_ordinal("1000000")).state_count <= 45
+    assert synth(parse_ordinal("w^3*1000 + w*77 + 123456")).state_count <= 80
 
 
 @settings(max_examples=120, deadline=None)

@@ -1,11 +1,23 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 
+import ordfa
 from machines import M_0STAR1, M_CYCLE2, M_EPS, M_ONESTAR, trim_dfas
 from ordfa.dfa import Dfa, NotTrimError, trim
 from ordfa.lexorder import NoMinimumError, min_word
 from ordfa.oracle import naive_check, random_trim_dfa
-from ordfa.wellorder import Witness, check, verify_witness, witness_chain, witness_failure
+from ordfa.wellorder import (
+    Witness,
+    build_witness,
+    check,
+    verify_witness,
+    witness_chain,
+    witness_failure,
+)
 
 ###############################################################################
 # check
@@ -89,6 +101,41 @@ def test_witness_failure_names_the_first_rejected_depth():
     assert not verify_witness(m, fake, 16)
     assert verify_witness(m, fake, 2)
     assert witness_failure(m, fake, 16) == "chain[2] = 1000011 is not accepted"
+
+
+def test_build_witness_rejects_a_state_without_chain():
+    # state 0 of 1* reads 0 into the sink, so no 0-loop returns to it
+    with pytest.raises(ValueError, match="state 0 is not a failing state"):
+        build_witness(M_ONESTAR, 0)
+
+
+def test_invariant_checks_survive_optimized_mode():
+    # `python -O` strips assert statements; these checks must still raise.
+    script = """
+from ordfa.dfa import Dfa
+from ordfa.ordtype import _decompose
+from ordfa.wellorder import build_witness
+onestar = Dfa(delta=((1, 0), (1, 1)), start=0, finals=frozenset({0}))
+cycle2 = Dfa(delta=((1, 3), (2, 0), (3, 3), (3, 3)), start=0, finals=frozenset({2}))
+for call, expected in (
+    (lambda: build_witness(onestar, 0), ValueError),
+    (lambda: _decompose(cycle2, 0, [None] * 4), RuntimeError),
+):
+    try:
+        call()
+    except expected:
+        continue
+    raise SystemExit("no error raised")
+"""
+    src = os.path.dirname(os.path.dirname(ordfa.__file__))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_verify_witness_depth_zero_checks_nothing():
