@@ -2,14 +2,19 @@
 
 Exit codes: 0 on success (for `check`: well-ordered), 3 when the
 analyzed language is not well-ordered or has no least word, 2 on
-malformed input, 1 when a fuzz run finds a disagreement.  Commands that
-analyze an automaton trim it first; trimming never changes the
-language.  The empty word prints as "(eps)".
+malformed input, 1 when a fuzz run finds a disagreement, 4 when the
+output cannot be written (one `error:` line on standard error), and
+141 (128 + SIGPIPE, as for a process that signal ends) without a
+message when the reader of standard output closed it early, as
+`ordfa enum big.json -n 20000 | head -1` does.  Commands that analyze
+an automaton trim it first; trimming never changes the language.  The
+empty word prints as "(eps)".
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import dfa, lexorder, oracle, ordinal, ordtype, wellorder
@@ -19,6 +24,8 @@ EXIT_OK = 0
 EXIT_FUZZ_FAILED = 1
 EXIT_INPUT = 2
 EXIT_NEGATIVE = 3
+EXIT_OUTPUT = 4
+EXIT_CLOSED_PIPE = 141
 
 
 class InputError(Exception):
@@ -43,9 +50,7 @@ def _load(path: str) -> dfa.Dfa:
         return dfa.load(path)
     except FileNotFoundError:
         raise InputError(f"{path}: no such file") from None
-    except OSError as e:
-        raise InputError(f"{path}: {e}") from e
-    except dfa.DfaFormatError as e:
+    except (OSError, dfa.DfaFormatError) as e:
         raise InputError(f"{path}: {e}") from e
 
 
@@ -65,6 +70,7 @@ def _print_witness(w: wellorder.Witness) -> None:
 
 
 def _cmd_check(args) -> int:
+    """`check`, and `witness`, which also replays the chain to --verify."""
     m = _load_trimmed(args.file)
     result = wellorder.check(m)
     if result.well_ordered:
@@ -72,22 +78,21 @@ def _cmd_check(args) -> int:
         return EXIT_OK
     print("not well-ordered")
     _print_witness(result.witness)
+    if args.command == "witness":
+        failure = wellorder.witness_failure(m, result.witness, args.verify)
+        if failure is None:
+            print(f"verified to depth {args.verify}: ok")
+        else:
+            print(f"verification failed: {failure}")
     return EXIT_NEGATIVE
 
 
 def _cmd_ordtype(args) -> int:
     m = _load_trimmed(args.file)
-    try:
-        table = ordtype.order_type(m)
-    except ordtype.NotWellOrderedError as e:
-        print("not well-ordered")
-        _print_witness(e.witness)
-        return EXIT_NEGATIVE
-    except ordinal.DegreeOverflowError as e:
-        raise InputError(f"{args.file}: order type out of range: {e}") from e
+    table = ordtype.order_type(m)
     print(ordinal.format_ordinal(table.overall))
     if args.table:
-        cond = dfa.condense(m)
+        cond = m.condensation
         print("state\theight\tordinal")
         for q in range(m.state_count):
             print(f"{q}\t{cond.height_of[q]}\t{table.per_state[q]}")
@@ -112,12 +117,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_enum(args) -> int:
     m = _load_trimmed(args.file)
-    try:
-        words = lexorder.enumerate_words(m, args.count)
-    except lexorder.NoMinimumError as e:
-        print(f"not well-ordered: {e}")
-        return EXIT_NEGATIVE
-    for w in words:
+    for w in lexorder.enumerate_words(m, args.count):
         print(_fmt_word(w))
     return EXIT_OK
 
@@ -125,14 +125,7 @@ def _cmd_enum(args) -> int:
 def _cmd_rank(args) -> int:
     m = _load_trimmed(args.file)
     w = _parse_word(args.word)
-    try:
-        print(ordinal.format_ordinal(ordtype.rank(m, w)))
-    except ordtype.NotWellOrderedError as e:
-        print("not well-ordered")
-        _print_witness(e.witness)
-        return EXIT_NEGATIVE
-    except ordinal.DegreeOverflowError as e:
-        raise InputError(f"{args.file}: order type out of range: {e}") from e
+    print(ordinal.format_ordinal(ordtype.rank(m, w)))
     return EXIT_OK
 
 
@@ -149,12 +142,7 @@ def _cmd_min(args) -> int:
 
 def _cmd_succ(args) -> int:
     m = _load_trimmed(args.file)
-    w = _parse_word(args.word)
-    try:
-        nxt = lexorder.successor(m, w)
-    except lexorder.NoMinimumError as e:
-        print(f"not well-ordered: {e}")
-        return EXIT_NEGATIVE
+    nxt = lexorder.successor(m, _parse_word(args.word))
     print("(none)" if nxt is None else _fmt_word(nxt))
     return EXIT_OK
 
@@ -176,22 +164,6 @@ def _cmd_trim(args) -> int:
     return EXIT_OK
 
 
-def _cmd_witness(args) -> int:
-    m = _load_trimmed(args.file)
-    result = wellorder.check(m)
-    if result.well_ordered:
-        print("well-ordered")
-        return EXIT_OK
-    print("not well-ordered")
-    _print_witness(result.witness)
-    failure = wellorder.witness_failure(m, result.witness, args.verify)
-    if failure is None:
-        print(f"verified to depth {args.verify}: ok")
-    else:
-        print(f"verification failed: {failure}")
-    return EXIT_NEGATIVE
-
-
 def _read_chain(path: str) -> list[str]:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -203,12 +175,9 @@ def _read_chain(path: str) -> list[str]:
         text = line.strip()
         if not text:
             continue
-        if text == "(eps)":
-            words.append("")
-            continue
         try:
-            words.append(dfa.validate_word(text))
-        except ValueError as e:
+            words.append(_parse_word(text))
+        except InputError as e:
             raise InputError(f"{path}:{i}: {e}") from e
     return words
 
@@ -238,7 +207,7 @@ def _cmd_dot(args) -> int:
 def render_dot(m: dfa.Dfa) -> str:
     """Graphviz text for the automaton, states clustered by strong
     component (labeled with the component's height)."""
-    cond = dfa.condense(m)
+    cond = m.condensation
     snk = dfa.sink_of(m)
     lines = [
         "digraph automaton {",
@@ -269,6 +238,10 @@ def render_dot(m: dfa.Dfa) -> str:
 
 
 def _cmd_fuzz(args) -> int:
+    if args.states < 1:
+        raise InputError(f"--states must be at least 1, got {args.states}")
+    if args.seeds < 0:
+        raise InputError(f"--seeds must be at least 0, got {args.seeds}")
     try:
         report = oracle.fuzz(
             args.seeds,
@@ -277,7 +250,7 @@ def _cmd_fuzz(args) -> int:
             verify_depth=args.verify_depth,
             rank_len=args.rank_len,
         )
-    except oracle.BoundTooLargeError as e:
+    except (oracle.BoundTooLargeError, oracle.OracleCapError) as e:
         raise InputError(str(e)) from e
     sys.stdout.write(report.to_tsv())
     return EXIT_OK if report.ok else EXIT_FUZZ_FAILED
@@ -341,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("file")
     s.add_argument("--verify", type=int, default=32, metavar="N",
                    help="replay depth (default 32)")
-    s.set_defaults(fn=_cmd_witness)
+    s.set_defaults(fn=_cmd_check)
 
     s = sub.add_parser("analyze-chain", help="flip structure of a word file")
     s.add_argument("file", help='one word per line, "(eps)" for the empty word')
@@ -368,20 +341,54 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def _run(argv) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_INPUT
     try:
         return args.fn(args)
-    except InputError as e:
+    except ordtype.NotWellOrderedError as e:
+        print("not well-ordered")
+        _print_witness(e.witness)
+        return EXIT_NEGATIVE
+    except lexorder.NoMinimumError as e:
+        print(f"not well-ordered: {e}")
+        return EXIT_NEGATIVE
+    except ordinal.DegreeOverflowError as e:
+        where = f"{args.file}: " if hasattr(args, "file") else ""
+        print(f"error: {where}order type out of range: {e}", file=sys.stderr)
+        return EXIT_INPUT
+    except (InputError, dfa.NotTrimError, dfa.NotSimpleCycleError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except (dfa.NotTrimError, dfa.NotSimpleCycleError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+
+
+def _discard_stdout() -> None:
+    """Point standard output at the null device, so that the flush at
+    interpreter exit cannot fail again on what is still buffered."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # not backed by a file descriptor: nothing to redirect
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
+def main(argv=None) -> int:
+    # Inputs are read through `_load` and `_read_chain`, which turn read
+    # errors into InputError, so an OSError here came from writing.
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # fail here, not in the flush at exit
+        return code
+    except OSError as e:
+        _discard_stdout()
+        if isinstance(e, BrokenPipeError):
+            return EXIT_CLOSED_PIPE
+        print(f"error: cannot write output: {e}", file=sys.stderr)
+        return EXIT_OUTPUT
 
 
 if __name__ == "__main__":

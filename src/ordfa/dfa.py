@@ -5,13 +5,18 @@ characters; the empty string is the empty word.  An automaton is *trim*
 when every state is reachable from the start and at most one state has
 empty language (the sink).  Most analyses in the package assume trim
 input; `trim` produces it and reports what it changed.
+
+The facts the analyses share (reachable states, live states, strong
+component ids, the condensation) are memoized on the `Dfa` they
+describe: each is computed on first use, at most once per automaton,
+and is freed with it.  Nothing is kept across automata.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
-from functools import lru_cache
 
 
 class DfaFormatError(ValueError):
@@ -32,13 +37,6 @@ class NotSimpleCycleError(Exception):
 
 _BIT = {"0": 0, "1": 1}
 
-# Entries kept by each per-automaton cache below.  Hits come from
-# repeated questions about the automaton in hand (check then
-# order_type, rank without a table, successive successor calls), so a
-# short memory keeps them; a long one only gives every full garbage
-# collection hundreds of thousands of retained objects to traverse.
-_CACHE_SIZE = 256
-
 
 @dataclasses.dataclass(frozen=True)
 class Dfa:
@@ -52,9 +50,9 @@ class Dfa:
     finals: frozenset[int]
 
     def __post_init__(self):
+        # A state is an int (not a bool) in range(n).
         rows = tuple(tuple(row) for row in self.delta)
-        object.__setattr__(self, "delta", rows)
-        object.__setattr__(self, "finals", frozenset(self.finals))
+        finals = list(self.finals)
         n = len(rows)
         if n == 0:
             raise ValueError("an automaton needs at least one state")
@@ -62,13 +60,15 @@ class Dfa:
             if len(row) != 2:
                 raise ValueError(f"state {q} must have exactly two transitions")
             for t in row:
-                if not isinstance(t, int) or isinstance(t, bool) or not 0 <= t < n:
+                if type(t) is not int or not 0 <= t < n:
                     raise ValueError(f"state {q} has a bad transition target {t!r}")
-        if not isinstance(self.start, int) or not 0 <= self.start < n:
+        if type(self.start) is not int or not 0 <= self.start < n:
             raise ValueError(f"bad start state {self.start!r}")
-        for q in self.finals:
-            if not isinstance(q, int) or isinstance(q, bool) or not 0 <= q < n:
+        for q in finals:
+            if type(q) is not int or not 0 <= q < n:
                 raise ValueError(f"bad final state {q!r}")
+        object.__setattr__(self, "delta", rows)
+        object.__setattr__(self, "finals", frozenset(finals))
 
     @property
     def state_count(self) -> int:
@@ -96,6 +96,26 @@ class Dfa:
     def accepts(self, word: str) -> bool:
         return self.run(self.start, word) in self.finals
 
+    # Memos of the module functions of the same facts, written into the
+    # instance on first access, so they live as long as the automaton.
+    # They are not fields: equality and hashing ignore them.
+
+    @functools.cached_property
+    def reachable(self) -> frozenset[int]:
+        return reachable_states(self)
+
+    @functools.cached_property
+    def live(self) -> frozenset[int]:
+        return live_states(self)
+
+    @functools.cached_property
+    def scc_ids(self) -> tuple[int, ...]:
+        return tuple(component_ids(self))
+
+    @functools.cached_property
+    def condensation(self) -> Condensation:
+        return condense(self)
+
 
 def _bad_letter(word: str) -> str:
     """Message naming the first letter of word that is not 0 or 1."""
@@ -111,7 +131,6 @@ def validate_word(word: str) -> str:
     return word
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def reachable_states(m: Dfa) -> frozenset[int]:
     """States reachable from the start state."""
     seen = {m.start}
@@ -124,7 +143,6 @@ def reachable_states(m: Dfa) -> frozenset[int]:
     return frozenset(seen)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def live_states(m: Dfa) -> frozenset[int]:
     """States with nonempty language, i.e. that can reach a final state."""
     rev: list[list[int]] = [[] for _ in range(m.state_count)]
@@ -142,16 +160,14 @@ def live_states(m: Dfa) -> frozenset[int]:
 
 
 def is_trim(m: Dfa) -> bool:
-    return len(reachable_states(m)) == m.state_count and (
-        m.state_count - len(live_states(m)) <= 1
-    )
+    return len(m.reachable) == m.state_count and m.state_count - len(m.live) <= 1
 
 
 def ensure_trim(m: Dfa) -> None:
-    unreachable = m.state_count - len(reachable_states(m))
+    unreachable = m.state_count - len(m.reachable)
     if unreachable:
         raise NotTrimError(f"{unreachable} unreachable state(s); run trim first")
-    dead = m.state_count - len(live_states(m))
+    dead = m.state_count - len(m.live)
     if dead > 1:
         raise NotTrimError(f"{dead} states have empty language; run trim first")
 
@@ -162,7 +178,7 @@ def sink_of(m: Dfa) -> int | None:
     Diagnoses a non-trim automaton instead of silently picking one of
     several dead states.
     """
-    live = live_states(m)
+    live = m.live
     dead = [q for q in range(m.state_count) if q not in live]
     if len(dead) > 1:
         raise MultipleSinksError(f"states {dead} all have empty language")
@@ -195,20 +211,10 @@ def trim(m: Dfa) -> TrimReport:
     Kept states keep their relative order, so a trim automaton maps to
     itself.
     """
-    reach = reachable_states(m)
-    live = live_states(m) & reach
+    reach = m.reachable
+    live = m.live & reach
     dead = reach - live
     removed = frozenset(range(m.state_count)) - reach
-
-    if m.start not in live:
-        trimmed = Dfa(delta=((0, 0),), start=0, finals=frozenset())
-        return TrimReport(
-            trimmed=trimmed,
-            state_map={q: 0 for q in reach},
-            removed_unreachable=removed,
-            merged_into_sink=frozenset(dead - {min(dead)}),
-            sink=0,
-        )
 
     sink_rep = min(dead) if dead else None
     kept = sorted(live | {sink_rep}) if dead else sorted(live)
@@ -226,15 +232,14 @@ def trim(m: Dfa) -> TrimReport:
             rows.append((target(m.delta[old][0]), target(m.delta[old][1])))
     trimmed = Dfa(
         delta=tuple(rows),
-        start=new_index[m.start],
+        start=target(m.start),
         finals=frozenset(new_index[q] for q in m.finals & live),
     )
-    state_map = {q: (sink_new if q in dead else new_index[q]) for q in reach}
     return TrimReport(
         trimmed=trimmed,
-        state_map=state_map,
+        state_map={q: target(q) for q in reach},
         removed_unreachable=removed,
-        merged_into_sink=frozenset(dead - {sink_rep}) if dead else frozenset(),
+        merged_into_sink=frozenset(dead - {sink_rep}),
         sink=sink_new,
     )
 
@@ -251,12 +256,8 @@ class Condensation:
 
     component_of: tuple[int, ...]
     components: tuple[tuple[int, ...], ...]
-    dag_edges: frozenset[tuple[int, int]]
     nontrivial: tuple[bool, ...]
     height_of: tuple[int, ...]
-
-    def height(self, q: int) -> int:
-        return self.height_of[q]
 
 
 def component_ids(m: Dfa) -> list[int]:
@@ -266,9 +267,9 @@ def component_ids(m: Dfa) -> list[int]:
     Two states share an id exactly when they lie in the same strong
     component.  Ids count components in emission order, which is
     reverse topological: every transition leaving a component leads to
-    a smaller id.  Uncached; `condense` adds the height-ordered
-    numbering.  Iterative so deep transition chains cannot overflow the
-    Python stack.
+    a smaller id.  `Dfa.scc_ids` keeps the result; `condense` adds the
+    height-ordered numbering.  Iterative so deep transition chains
+    cannot overflow the Python stack.
     """
     delta = m.delta
     n = len(delta)
@@ -315,18 +316,21 @@ def component_ids(m: Dfa) -> list[int]:
     return comp_of
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def condense(m: Dfa) -> Condensation:
+    """Condensation of m, built on `m.scc_ids`; `Dfa.condensation`
+    keeps the result."""
     delta = m.delta
-    emit_of = component_ids(m)
+    emit_of = m.scc_ids
     k = max(emit_of) + 1
     emitted: list[list[int]] = [[] for _ in range(k)]
     for q, j in enumerate(emit_of):
-        emitted[j].append(q)
+        emitted[j].append(q)  # ascending, since q ascends
 
     # Strictly-below sets as bitmasks over emission indices.  Reverse
     # topological emission order makes successors available early.
+    # A transition that stays inside its component closes a cycle.
     below = [0] * k
+    cyclic = [False] * k
     for j, comp in enumerate(emitted):
         mask = 0
         for q in comp:
@@ -334,31 +338,20 @@ def condense(m: Dfa) -> Condensation:
                 jt = emit_of[t]
                 if jt != j:
                     mask |= (1 << jt) | below[jt]
+                else:
+                    cyclic[j] = True
         below[j] = mask
     heights = [b.bit_count() for b in below]
 
-    order = sorted(range(k), key=lambda j: (heights[j], min(emitted[j])))
-    cid_of_emit = {j: cid for cid, j in enumerate(order)}
-
-    component_of = tuple(cid_of_emit[emit_of[q]] for q in range(m.state_count))
-    components = tuple(tuple(sorted(emitted[j])) for j in order)
-    nontrivial = tuple(
-        any(delta[q][b] in set(comp) for q in comp for b in (0, 1))
-        for comp in components
-    )
-    height_of = tuple(heights[emit_of[q]] for q in range(m.state_count))
-    dag_edges = frozenset(
-        (component_of[q], component_of[t])
-        for q in range(m.state_count)
-        for t in delta[q]
-        if component_of[q] != component_of[t]
-    )
+    order = sorted(range(k), key=lambda j: (heights[j], emitted[j][0]))
+    cid_of_emit = [0] * k
+    for cid, j in enumerate(order):
+        cid_of_emit[j] = cid
     return Condensation(
-        component_of=component_of,
-        components=components,
-        dag_edges=dag_edges,
-        nontrivial=nontrivial,
-        height_of=height_of,
+        component_of=tuple(cid_of_emit[j] for j in emit_of),
+        components=tuple(tuple(emitted[j]) for j in order),
+        nontrivial=tuple(cyclic[j] for j in order),
+        height_of=tuple(heights[j] for j in emit_of),
     )
 
 
@@ -366,7 +359,7 @@ def is_recursive(m: Dfa, q: int) -> bool:
     """True when q lies on a cycle and is not the sink."""
     if q == sink_of(m):
         return False
-    c = condense(m)
+    c = m.condensation
     return c.nontrivial[c.component_of[q]]
 
 
@@ -377,7 +370,7 @@ def loop_word(m: Dfa, q: int) -> str:
     it must have exactly one in-component outgoing edge.  That holds for
     every automaton that passes the well-order check.
     """
-    c = condense(m)
+    c = m.condensation
     cid = c.component_of[q]
     if not c.nontrivial[cid]:
         raise ValueError(f"state {q} is not recursive")
@@ -433,18 +426,12 @@ def shortest_word(m: Dfa, src: int, targets: frozenset[int] | set[int]) -> str |
 # --- JSON serialization ---------------------------------------------------
 
 
-def _require_state(value, n: int, what: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < n:
-        raise DfaFormatError(f"{what} must be a state index in [0, {n}), got {value!r}")
-    return value
-
-
 def from_json(text: str) -> Dfa:
     """Parse the automaton file format.
 
     The format is a single JSON object {"start": int, "finals": [int...],
     "delta": [[on0, on1], ...]} with len(delta) states.  Unknown keys are
-    rejected.
+    rejected; `Dfa` checks the state indices.
     """
     try:
         doc = json.loads(text)
@@ -458,28 +445,15 @@ def from_json(text: str) -> Dfa:
     missing = {"start", "finals", "delta"} - set(doc)
     if missing:
         raise DfaFormatError(f"missing keys: {sorted(missing)}")
-    delta = doc["delta"]
-    if not isinstance(delta, list) or not delta:
-        raise DfaFormatError("delta must be a nonempty list of [on0, on1] pairs")
-    n = len(delta)
-    rows = []
-    for q, row in enumerate(delta):
-        if not isinstance(row, list) or len(row) != 2:
-            raise DfaFormatError(f"delta[{q}] must be a pair [on0, on1]")
-        rows.append(
-            (
-                _require_state(row[0], n, f"delta[{q}][0]"),
-                _require_state(row[1], n, f"delta[{q}][1]"),
-            )
-        )
-    finals = doc["finals"]
+    delta, finals = doc["delta"], doc["finals"]
+    if not isinstance(delta, list) or not all(isinstance(row, list) for row in delta):
+        raise DfaFormatError("delta must be a list of [on0, on1] pairs")
     if not isinstance(finals, list):
         raise DfaFormatError("finals must be a list of state indices")
-    return Dfa(
-        delta=tuple(rows),
-        start=_require_state(doc["start"], n, "start"),
-        finals=frozenset(_require_state(f, n, "finals entry") for f in finals),
-    )
+    try:
+        return Dfa(delta=delta, start=doc["start"], finals=finals)
+    except ValueError as e:
+        raise DfaFormatError(str(e)) from e
 
 
 def to_json(m: Dfa) -> str:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 
-from .dfa import Dfa, live_states
+from .dfa import Dfa
 
 
 class LexRelation(enum.Enum):
@@ -89,7 +89,7 @@ def min_word(m: Dfa) -> str | None:
     Raises NoMinimumError when the language is nonempty but has no
     least element.
     """
-    live = live_states(m)
+    live = m.live
     if m.start not in live:
         return None
     return _min_from(m, m.start, live)
@@ -106,7 +106,7 @@ def successor(m: Dfa, w: str) -> str | None:
     nonempty continuation; among branch points, later ones give smaller
     words, so they are tried from the right.
     """
-    live = live_states(m)
+    live = m.live
 
     q = m.run(m.start, w)
     if q in live:

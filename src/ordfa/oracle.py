@@ -14,7 +14,7 @@ import os
 import random
 from collections import deque
 
-from .dfa import Dfa, condense, ensure_trim, sink_of, trim, validate_word
+from .dfa import Dfa, ensure_trim, sink_of, trim, validate_word
 from .lexorder import enumerate_words
 from .ordtype import order_type, rank
 from .wellorder import CheckResult, build_witness, check, verify_witness
@@ -26,9 +26,20 @@ class BoundTooLargeError(ValueError):
     """Enumeration bound beyond the configured cap."""
 
 
+class OracleCapError(ValueError):
+    """ORDFA_ORACLE_CAP holds something other than a natural number."""
+
+
 def _bound_cap() -> int:
+    """Cap on enumeration bounds: ORDFA_ORACLE_CAP when it is set and
+    nonempty, else DEFAULT_BOUND_CAP.  OracleCapError, naming the
+    variable, when it is not a natural number."""
     raw = os.environ.get("ORDFA_ORACLE_CAP")
-    return int(raw) if raw else DEFAULT_BOUND_CAP
+    if not raw:
+        return DEFAULT_BOUND_CAP
+    if not raw.isdecimal():
+        raise OracleCapError(f"ORDFA_ORACLE_CAP must be a natural number, got {raw!r}")
+    return int(raw)
 
 
 def _check_bound(bound: int) -> None:
@@ -293,7 +304,7 @@ def _examine(m: Dfa, verify_depth: int, rank_len: int):
 
     table = order_type(m)
     checks += 1
-    cond = condense(m)
+    cond = m.condensation
     for q in range(m.state_count):
         if table.per_state[q].degree > cond.height_of[q]:
             return verdict, checks, "height-bound"
@@ -328,7 +339,10 @@ def fuzz(
     Seeded mode generates `seeds` random automata and reports one case
     per seed.  Exhaustive mode walks every trim automaton with at most
     `states` states instead (cases are recorded only for failures).
+    A bad ORDFA_ORACLE_CAP raises OracleCapError before any automaton
+    is examined.
     """
+    _bound_cap()
     cases: list[FuzzCase] = []
     total = wo = nwo = failures = 0
     first_failure = None

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from .dfa import Dfa, condense, ensure_trim, loop_word, sink_of
+from .dfa import Dfa, ensure_trim, loop_word, sink_of
 from .ordinal import Ordinal
 from .wellorder import Witness, build_witness, failing_state
 
@@ -99,8 +99,8 @@ def order_type(m: Dfa) -> OrderTypeTable:
     """
     ensure_trim(m)
     snk = sink_of(m)
-    cond = condense(m)
-    # The same rule and witness as `check`, on the condensation built
+    cond = m.condensation
+    # The same rule and witness as `check`, on the condensation needed
     # here anyway: the smallest failing state does not depend on how
     # components are numbered.
     bad = failing_state(m, cond.component_of, snk)

@@ -12,14 +12,7 @@ from __future__ import annotations
 import dataclasses
 from collections.abc import Sequence
 
-from .dfa import (
-    Dfa,
-    component_ids,
-    ensure_trim,
-    shortest_word,
-    sink_of,
-    validate_word,
-)
+from .dfa import Dfa, ensure_trim, shortest_word, sink_of, validate_word
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,13 +71,13 @@ def failing_state(m: Dfa, component_of: Sequence[int], sink: int | None) -> int 
 def check(m: Dfa) -> CheckResult:
     """Decide well-orderedness of L(m) for trim m.
 
-    Needs only the sink and strong-component ids (one Tarjan pass, no
-    condensation): state q fails when q and q.0 share a strong
+    Needs only the sink and strong-component ids (`m.scc_ids`, one
+    Tarjan pass per automaton, no condensation): state q fails when q and q.0 share a strong
     component and q.1 is not the sink.  The reported witness is at the
     smallest failing state index.
     """
     ensure_trim(m)
-    q = failing_state(m, component_ids(m), sink_of(m))
+    q = failing_state(m, m.scc_ids, sink_of(m))
     if q is None:
         return CheckResult(True, None)
     return CheckResult(False, build_witness(m, q))

@@ -106,6 +106,27 @@ def test_exhaustive_characterization_small_automata(small_exhaustive):
     assert ok
 
 
+def test_enumeration_complete_on_finite_languages(small_exhaustive):
+    # A finite language of a trim automaton has no word as long as its
+    # state count, so enum_bounded to that length lists all of it.
+    finite = mismatches = 0
+    for m, table in small_exhaustive.tables:
+        if not table.overall.is_finite:
+            continue
+        finite += 1
+        n = table.overall.as_int()
+        if enumerate_words(m, n + 1) != enum_bounded(m, m.state_count):
+            mismatches += 1
+    ok = mismatches == 0 and finite == 386
+    _report(
+        "enumeration completeness",
+        ok,
+        f"{finite} finite languages among {len(small_exhaustive.tables)} "
+        f"well-ordered automata, {mismatches} mismatches",
+    )
+    assert ok
+
+
 def test_sampled_characterization_eight_states(random_sample):
     c = random_sample
     ok = c.disagreements == 0 and c.bad_witnesses == 0 and c.total == 10_000

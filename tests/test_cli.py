@@ -1,9 +1,16 @@
+import contextlib
+import errno
+import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ordfa
 from machines import M_0STAR1, M_CYCLE2, M_EPS, M_ONESTAR
-from ordfa.cli import main, render_dot
+from ordfa.cli import EXIT_CLOSED_PIPE, EXIT_OUTPUT, main, render_dot
 from ordfa.dfa import Dfa, dump, from_json, load
 from ordfa.ordtype import order_type
 from ordfa.ordinal import parse_ordinal
@@ -288,6 +295,22 @@ def test_fuzz(capsys):
     assert lines[-1].startswith("# total=5 ")
 
 
+def test_fuzz_rejects_bad_counts(capsys):
+    code, out, err = run(capsys, "fuzz", "--states", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: --states must be at least 1, got 0\n"
+    code, out, err = run(capsys, "fuzz", "--seeds", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: --seeds must be at least 0, got -1\n"
+
+
+def test_fuzz_bad_oracle_cap(monkeypatch, capsys):
+    monkeypatch.setenv("ORDFA_ORACLE_CAP", "abc")
+    code, out, err = run(capsys, "fuzz", "--seeds", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: ORDFA_ORACLE_CAP must be a natural number, got 'abc'\n"
+
+
 def test_embed(capsys):
     assert run(capsys, "embed", "021") == (0, "01110\n", "")
     code, _, err = run(capsys, "embed", "031")
@@ -330,3 +353,39 @@ def test_no_arguments(capsys):
 def test_unknown_command(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+###############################################################################
+# output failures
+###############################################################################
+
+
+def test_closed_pipe_exits_quietly(automaton_file):
+    src = os.path.dirname(os.path.dirname(ordfa.__file__))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "ordfa.cli", "enum", automaton_file(M_ONESTAR), "-n", "2000"],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    # The 2,000 words of 1* fill about 2 MB, far more than a pipe holds,
+    # so the child is still writing when the reader goes away.
+    assert child.stdout.readline() == b"(eps)\n"
+    child.stdout.close()
+    _, err = child.communicate(timeout=60)
+    assert (child.returncode, err) == (EXIT_CLOSED_PIPE, b"")
+
+
+class _FullDisk(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_write_error_prints_one_error_line(automaton_file, capsys):
+    path = automaton_file(M_CYCLE2)
+    with contextlib.redirect_stdout(_FullDisk()):
+        code = main(["dot", path])
+    assert (code, capsys.readouterr().err) == (
+        EXIT_OUTPUT,
+        "error: cannot write output: [Errno 28] No space left on device\n",
+    )

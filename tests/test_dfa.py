@@ -1,9 +1,11 @@
 import json
+import weakref
 
 import pytest
 from hypothesis import given, settings
 
 from machines import FIXTURES, M_0STAR1, M_CYCLE2, M_EPS, M_ONESTAR, all_words, raw_dfas, trim_dfas
+from ordfa import dfa, lexorder, oracle, ordtype, wellorder
 from ordfa.dfa import (
     Dfa,
     DfaFormatError,
@@ -19,6 +21,8 @@ from ordfa.dfa import (
     to_json,
     trim,
 )
+from ordfa.ordinal import parse_ordinal
+from ordfa.synth import synth
 
 ###############################################################################
 # run / accepts
@@ -130,12 +134,22 @@ def test_trim_idempotent(m):
 ###############################################################################
 
 
+def _dag_edges(m, c):
+    """Pairs (component of q, component of q's target) across components."""
+    return {
+        (c.component_of[q], c.component_of[t])
+        for q in range(m.state_count)
+        for t in m.delta[q]
+        if c.component_of[q] != c.component_of[t]
+    }
+
+
 def test_condense_onestar():
     c = condense(M_ONESTAR)
     assert c.components == ((1,), (0,))
     assert c.nontrivial == (True, True)
     assert c.height_of == (1, 0)
-    assert c.dag_edges == frozenset({(1, 0)})
+    assert _dag_edges(M_ONESTAR, c) == {(1, 0)}
 
 
 def test_condense_cycle2():
@@ -156,7 +170,7 @@ def test_condense_numbering_deterministic():
 def test_condense_heights_monotone_on_edges():
     for m in FIXTURES:
         c = condense(m)
-        for a, b in c.dag_edges:
+        for a, b in _dag_edges(m, c):
             ha = c.height_of[c.components[a][0]]
             hb = c.height_of[c.components[b][0]]
             assert hb < ha
@@ -192,8 +206,50 @@ def test_condense_matches_pairwise_reachability(m):
 @given(raw_dfas(max_states=6))
 def test_condense_dag_edges_acyclic(m):
     c = condense(m)
-    for a, b in c.dag_edges:
+    for a, b in _dag_edges(m, c):
         assert b < a  # numbering ascends with height, edges point down
+
+
+###############################################################################
+# per-automaton memos
+###############################################################################
+
+
+def _fresh_automaton(ordinal: str):
+    """A new trim automaton of the given order type; each test below
+    uses its own type, so no test sees an automaton equal to another's."""
+    return synth(parse_ordinal(ordinal))
+
+
+def test_analysis_is_freed_with_its_automaton():
+    m = _fresh_automaton("w^3*5 + w*2 + 7")
+    ref = weakref.ref(m)
+    assert wellorder.check(m).well_ordered
+    ordtype.order_type(m)
+    words = lexorder.enumerate_words(m, 5)
+    assert [ordtype.rank(m, w).as_int() for w in words] == [0, 1, 2, 3, 4]
+    del m
+    assert ref() is None  # freed by reference counting, no collection needed
+
+
+def test_tarjan_runs_once_per_automaton(monkeypatch):
+    runs = []
+    tarjan = dfa.component_ids
+
+    def counting(m):
+        runs.append(m.state_count)
+        return tarjan(m)
+
+    # Every module that bound the function by name, so no call escapes.
+    for module in (dfa, wellorder, ordtype, lexorder, oracle):
+        if getattr(module, "component_ids", None) is tarjan:
+            monkeypatch.setattr(module, "component_ids", counting)
+    m = _fresh_automaton("w^4*2 + w^2*6 + 9")
+    wellorder.check(m)
+    ordtype.order_type(m)
+    ordtype.rank(m, "0")
+    ordtype.rank(m, "1")
+    assert len(runs) == 1
 
 
 ###############################################################################

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 
@@ -7,6 +9,7 @@ from ordfa.lexorder import lex_less
 from ordfa.oracle import (
     BoundTooLargeError,
     FuzzCase,
+    OracleCapError,
     _closure,
     _trim_key,
     brute_rank,
@@ -42,6 +45,16 @@ def test_bound_cap_from_environment(monkeypatch):
     assert enum_bounded(M_EPS, 4) == [""]
     with pytest.raises(BoundTooLargeError):
         enum_bounded(M_EPS, 5)
+
+
+@pytest.mark.parametrize("raw", ["abc", "-1", "2.5"])
+def test_bound_cap_rejects_non_naturals(monkeypatch, raw):
+    monkeypatch.setenv("ORDFA_ORACLE_CAP", raw)
+    message = re.escape(f"ORDFA_ORACLE_CAP must be a natural number, got '{raw}'")
+    with pytest.raises(OracleCapError, match=message):
+        enum_bounded(M_EPS, 2)
+    with pytest.raises(OracleCapError, match=message):
+        fuzz(0, 4)
 
 
 ###############################################################################
