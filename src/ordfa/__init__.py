@@ -10,6 +10,7 @@ from .lexorder import (
     embed3to2,
     enumerate_words,
     extract_strict_chain,
+    iter_words,
     min_word,
     successor,
 )
@@ -40,6 +41,7 @@ __all__ = [
     "format_ordinal",
     "from_json",
     "is_trim",
+    "iter_words",
     "load",
     "loop_word",
     "min_word",

@@ -14,6 +14,7 @@ empty word prints as "(eps)".
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 
@@ -89,10 +90,12 @@ def _cmd_check(args) -> int:
 
 def _cmd_ordtype(args) -> int:
     m = _load_trimmed(args.file)
+    # Heights before types: the height pass's temporaries are the peak
+    # of memory, and they are freed before the types are built.
+    cond = m.condensation if args.table else None
     table = ordtype.order_type(m)
     print(ordinal.format_ordinal(table.overall))
-    if args.table:
-        cond = m.condensation
+    if cond is not None:
         print("state\theight\tordinal")
         for q in range(m.state_count):
             print(f"{q}\t{cond.height_of[q]}\t{table.per_state[q]}")
@@ -117,7 +120,9 @@ def _cmd_synth(args) -> int:
 
 def _cmd_enum(args) -> int:
     m = _load_trimmed(args.file)
-    for w in lexorder.enumerate_words(m, args.count):
+    # Each word is printed as it is found, so a reader that stops early
+    # stops the walk.
+    for w in itertools.islice(lexorder.iter_words(m), max(args.count, 0)):
         print(_fmt_word(w))
     return EXIT_OK
 

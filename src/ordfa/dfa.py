@@ -15,7 +15,6 @@ and is freed with it.  Nothing is kept across automata.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 
 
@@ -36,6 +35,28 @@ class NotSimpleCycleError(Exception):
 
 
 _BIT = {"0": 0, "1": 1}
+
+
+class _memo:
+    """Method turned into an attribute computed on first access.
+
+    The value is written into the instance `__dict__`, where later
+    lookups find it before this (non-data) descriptor.  Unlike
+    `functools.cached_property` on Python 3.11, no lock is taken: two
+    threads may both compute a value, and since it depends only on the
+    automaton, either one is right.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 @dataclasses.dataclass(frozen=True)
@@ -100,19 +121,19 @@ class Dfa:
     # instance on first access, so they live as long as the automaton.
     # They are not fields: equality and hashing ignore them.
 
-    @functools.cached_property
+    @_memo
     def reachable(self) -> frozenset[int]:
         return reachable_states(self)
 
-    @functools.cached_property
+    @_memo
     def live(self) -> frozenset[int]:
         return live_states(self)
 
-    @functools.cached_property
+    @_memo
     def scc_ids(self) -> tuple[int, ...]:
         return tuple(component_ids(self))
 
-    @functools.cached_property
+    @_memo
     def condensation(self) -> Condensation:
         return condense(self)
 
@@ -357,10 +378,8 @@ def condense(m: Dfa) -> Condensation:
 
 def is_recursive(m: Dfa, q: int) -> bool:
     """True when q lies on a cycle and is not the sink."""
-    if q == sink_of(m):
-        return False
-    c = m.condensation
-    return c.nontrivial[c.component_of[q]]
+    ids = m.scc_ids
+    return q != sink_of(m) and ids[q] in (ids[t] for t in m.delta[q])
 
 
 def loop_word(m: Dfa, q: int) -> str:
@@ -368,31 +387,29 @@ def loop_word(m: Dfa, q: int) -> str:
 
     Requires q's strong component to be a simple cycle: every state in
     it must have exactly one in-component outgoing edge.  That holds for
-    every automaton that passes the well-order check.
+    every automaton that passes the well-order check.  Only the states
+    on the walk from q are checked: when each has one such edge, the
+    walk is a cycle through q, and no other state can share a strong
+    component with it.
     """
-    c = m.condensation
-    cid = c.component_of[q]
-    if not c.nontrivial[cid]:
-        raise ValueError(f"state {q} is not recursive")
-    members = set(c.components[cid])
-    for s in members:
-        inside = [b for b in (0, 1) if m.delta[s][b] in members]
+    ids = m.scc_ids
+    cid = ids[q]
+    letters = []
+    s = q
+    for _ in range(m.state_count):
+        inside = [b for b in (0, 1) if ids[m.delta[s][b]] == cid]
+        if not inside and s == q:
+            raise ValueError(f"state {q} is not recursive")
         if len(inside) != 1:
             raise NotSimpleCycleError(
                 f"state {s} has {len(inside)} in-component edges; "
                 "its component is not a simple cycle"
             )
-    letters = []
-    s = q
-    for _ in range(len(members)):
-        b = 0 if m.delta[s][0] in members else 1
-        letters.append("01"[b])
-        s = m.delta[s][b]
+        letters.append("01"[inside[0]])
+        s = m.delta[s][inside[0]]
         if s == q:
-            break
-    if s != q:
-        raise NotSimpleCycleError(f"walk from state {q} did not close into a cycle")
-    return "".join(letters)
+            return "".join(letters)
+    raise NotSimpleCycleError(f"walk from state {q} did not close into a cycle")
 
 
 def shortest_word(m: Dfa, src: int, targets: frozenset[int] | set[int]) -> str | None:

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import itertools
+from collections.abc import Iterator
 
-from .dfa import Dfa
+from .dfa import Dfa, validate_word
 
 
 class LexRelation(enum.Enum):
@@ -58,29 +60,73 @@ def _divergence(u: str, v: str) -> int:
     raise ValueError("one word is a prefix of the other")
 
 
-def _min_from(m: Dfa, q: int, live: frozenset[int]) -> str:
-    """Least word accepted from live state q, by greedy descent.
+def _min_from(m: Dfa, live: frozenset[int], trace: list[int]) -> str:
+    """Least word accepted from the live state trace[-1], by greedy
+    descent; the states it visits after trace[-1] are appended to trace.
 
     Always prefers staying final (the empty word), then the 0 branch
     when it leads anywhere live.  Revisiting a state proves the descent
     never bottoms out.
     """
+    delta, finals = m.delta, m.finals
+    q = trace[-1]
     letters: list[str] = []
     seen = set()
-    while True:
-        if q in m.finals:
-            return "".join(letters)
+    while q not in finals:
         if q in seen:
             raise NoMinimumError(
                 f"greedy descent revisits state {q}; no least word exists"
             )
         seen.add(q)
-        if m.delta[q][0] in live:
-            letters.append("0")
-            q = m.delta[q][0]
-        else:
-            letters.append("1")
-            q = m.delta[q][1]
+        b = 0 if delta[q][0] in live else 1
+        letters.append("01"[b])
+        q = delta[q][b]
+        trace.append(q)
+    return "".join(letters)
+
+
+def _read(m: Dfa, w: str) -> list[int]:
+    """States visited reading w from the start: trace[i] is the state
+    after w[:i].  ValueError, as from `validate_word`, on a bad letter."""
+    validate_word(w)
+    delta = m.delta
+    q = m.start
+    trace = [q]
+    for ch in w:
+        q = delta[q][ch == "1"]
+        trace.append(q)
+    return trace
+
+
+def _next(m: Dfa, live: frozenset[int], w: str, trace: list[int]) -> str | None:
+    """Least accepted word strictly above w, where trace is w's state
+    trace; trace becomes the answer's trace (and stays as it is when
+    there is no answer).
+
+    Anything above w either extends it or branches off at a position
+    where w reads 0.  The least extension starts with the least
+    nonempty continuation; among branch points, later ones give smaller
+    words, so they are tried from the right.  The scan jumps from 0 to
+    0 and the suffix it drops is no longer than w, so the cost is
+    O(|w| + |answer|).
+    """
+    delta = m.delta
+    q = trace[-1]
+    if q in live:
+        for b in (0, 1):
+            t = delta[q][b]
+            if t in live:
+                trace.append(t)
+                return w + "01"[b] + _min_from(m, live, trace)
+
+    i = len(w)
+    while (i := w.rfind("0", 0, i)) >= 0:
+        t = delta[trace[i]][1]
+        if t in live:
+            del trace[i + 1:]
+            trace.append(t)
+            return w[:i] + "1" + _min_from(m, live, trace)
+    return None
 
 
 def min_word(m: Dfa) -> str | None:
@@ -92,53 +138,43 @@ def min_word(m: Dfa) -> str | None:
     live = m.live
     if m.start not in live:
         return None
-    return _min_from(m, m.start, live)
+    return _min_from(m, live, [m.start])
 
 
 def successor(m: Dfa, w: str) -> str | None:
     """Least accepted word strictly above w, or None when there is none.
 
     Expects a trim automaton with a well-ordered language; on other
-    input the greedy subcalls may raise NoMinimumError.
+    input the greedy subcalls may raise NoMinimumError.  Raises
+    ValueError, as `validate_word` does, on a letter other than '0'
+    and '1'.  Reads w once: O(|w| + |answer|) time.
+    """
+    return _next(m, m.live, w, _read(m, w))
 
-    Anything above w either extends it or branches off at a position
-    where w reads 0.  The least extension starts with the least
-    nonempty continuation; among branch points, later ones give smaller
-    words, so they are tried from the right.
+
+def iter_words(m: Dfa) -> Iterator[str]:
+    """The accepted words in lexicographic order, each one found as it
+    is asked for.
+
+    One state trace is carried from each word to the next, cut at the
+    branch point and extended by the new suffix, so no word is read
+    again: the first n words cost O(their total length).  Raises
+    NoMinimumError where the greedy descent finds no least word.
     """
     live = m.live
-
-    q = m.run(m.start, w)
-    if q in live:
-        for b in (0, 1):
-            t = m.delta[q][b]
-            if t in live:
-                return w + "01"[b] + _min_from(m, t, live)
-
-    for i in range(len(w) - 1, -1, -1):
-        if w[i] != "0":
-            continue
-        t = m.delta[m.run(m.start, w[:i])][1]
-        if t in live:
-            return w[:i] + "1" + _min_from(m, t, live)
-    return None
+    if m.start not in live:
+        return
+    trace = [m.start]
+    w = _min_from(m, live, trace)
+    while w is not None:
+        yield w
+        w = _next(m, live, w, trace)
 
 
 def enumerate_words(m: Dfa, n: int) -> list[str]:
     """First n accepted words in lexicographic order (fewer if the
-    language runs out)."""
-    if n <= 0:
-        return []
-    first = min_word(m)
-    if first is None:
-        return []
-    out = [first]
-    while len(out) < n:
-        nxt = successor(m, out[-1])
-        if nxt is None:
-            break
-        out.append(nxt)
-    return out
+    language runs out), in O(their total length) time."""
+    return list(itertools.islice(iter_words(m), max(n, 0)))
 
 
 _EMBED = {"0": "0", "1": "10", "2": "11"}

@@ -1,7 +1,7 @@
 """Exact order types of well-ordered regular languages over {0, 1}.
 
 Every state's language gets an ordinal below w^w, computed bottom-up
-over the condensation.  The sink is 0.  A non-recursive state q
+over the strong components.  The sink is 0.  A non-recursive state q
 contributes [q final] + type(q.0) + type(q.1), matching the split of
 its language into the empty word, the 0-branch and the 1-branch.  A
 recursive state's language splits into laps of its cycle: one lap
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from .dfa import Dfa, ensure_trim, loop_word, sink_of
+from .dfa import Dfa, ensure_trim, loop_word, sink_of, validate_word
 from .ordinal import Ordinal
 from .wellorder import Witness, build_witness, failing_state
 
@@ -99,28 +99,25 @@ def order_type(m: Dfa) -> OrderTypeTable:
     """
     ensure_trim(m)
     snk = sink_of(m)
-    cond = m.condensation
-    # The same rule and witness as `check`, on the condensation needed
-    # here anyway: the smallest failing state does not depend on how
-    # components are numbered.
-    bad = failing_state(m, cond.component_of, snk)
+    ids = m.scc_ids
+    # The same rule and witness as `check`.
+    bad = failing_state(m, ids, snk)
     if bad is not None:
         raise NotWellOrderedError(build_witness(m, bad))
     types: list[Ordinal | None] = [None] * m.state_count
-    # Component numbering ascends with height, so every transition out
-    # of a component lands in one already processed.
-    for cid, members in enumerate(cond.components):
-        if snk is not None and snk in members:
-            types[snk] = Ordinal.zero()
-        elif cond.nontrivial[cid]:
-            for q in members:
-                dec = _decompose(m, q, types)
-                if dec.period_type.is_zero:
-                    raise RuntimeError(f"live recursive state {q} has a lap of type 0")
-                types[q] = dec.period_type.times_omega()
+    # Every transition out of a strong component leads to a smaller
+    # component id, so in id order each exit's type is already known.
+    for q in sorted(range(m.state_count), key=ids.__getitem__):
+        a, b = m.delta[q]
+        if q == snk:
+            types[q] = Ordinal.zero()
+        elif ids[a] == ids[q] or ids[b] == ids[q]:  # q lies on a cycle
+            dec = _decompose(m, q, types)
+            if dec.period_type.is_zero:
+                raise RuntimeError(f"live recursive state {q} has a lap of type 0")
+            types[q] = dec.period_type.times_omega()
         else:
-            (q,) = members
-            t = types[m.delta[q][0]] + types[m.delta[q][1]]
+            t = types[a] + types[b]
             if q in m.finals:
                 t = Ordinal.one() + t
             types[q] = t
@@ -144,16 +141,19 @@ def rank(m: Dfa, w: str, table: OrderTypeTable | None = None) -> Ordinal:
     This is the order type of {v accepted : v below w}; w itself need
     not be accepted.  Walking w, every accepted proper prefix adds one,
     and every position reading a 1 adds the whole type of the 0-exit
-    there, in position order.
+    there, in position order.  Raises ValueError, as `validate_word`
+    does, on a letter other than '0' and '1'.
     """
+    validate_word(w)
     if table is None:
         table = order_type(m)
+    types, delta, finals = table.per_state, m.delta, m.finals
     total = Ordinal.zero()
     q = m.start
     for ch in w:
-        if q in m.finals:
+        if q in finals:
             total = total + 1
         if ch == "1":
-            total = total + table.per_state[m.delta[q][0]]
-        q = m.step(q, ch)
+            total = total + types[delta[q][0]]
+        q = delta[q][ch == "1"]
     return total

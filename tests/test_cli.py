@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import ordfa
+from ordfa import lexorder
 from machines import M_0STAR1, M_CYCLE2, M_EPS, M_ONESTAR
 from ordfa.cli import EXIT_CLOSED_PIPE, EXIT_OUTPUT, main, render_dot
 from ordfa.dfa import Dfa, dump, from_json, load
@@ -374,6 +375,28 @@ def test_closed_pipe_exits_quietly(automaton_file):
     child.stdout.close()
     _, err = child.communicate(timeout=60)
     assert (child.returncode, err) == (EXIT_CLOSED_PIPE, b"")
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+def test_enum_prints_each_word_as_it_is_found(automaton_file, monkeypatch):
+    found = []
+    walk = lexorder.iter_words
+
+    def counting(m):
+        for w in walk(m):
+            found.append(w)
+            yield w
+
+    monkeypatch.setattr(lexorder, "iter_words", counting)
+    path = automaton_file(M_ONESTAR)
+    with contextlib.redirect_stdout(_ClosedPipe()):
+        code = main(["enum", path, "-n", "20000"])
+    # The first print fails, so the walk stops at the first word.
+    assert (code, found) == (EXIT_CLOSED_PIPE, [""])
 
 
 class _FullDisk(io.StringIO):

@@ -252,6 +252,15 @@ def test_tarjan_runs_once_per_automaton(monkeypatch):
     assert len(runs) == 1
 
 
+def test_memos_leave_equality_and_hash_alone():
+    m = _fresh_automaton("w^2*7 + 5")
+    twin = Dfa(delta=m.delta, start=m.start, finals=m.finals)
+    ordtype.order_type(m)
+    assert {"reachable", "live", "scc_ids"} <= set(vars(m))
+    assert m == twin and hash(m) == hash(twin)
+    assert not {"reachable", "live", "scc_ids"} & set(vars(twin))
+
+
 ###############################################################################
 # sink_of / is_recursive / loop_word
 ###############################################################################

@@ -1,3 +1,6 @@
+import bisect
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +16,9 @@ from machines import (
     naive_relation,
 )
 from ordfa.dfa import Dfa
+from ordfa.oracle import enum_bounded, random_trim_dfa
+from ordfa.ordtype import order_type, rank
+from ordfa.wellorder import check
 from ordfa.lexorder import (
     ChainAnalysis,
     LexRelation,
@@ -134,6 +140,67 @@ def test_enumerate_words_sorted_and_accepted():
         words = enumerate_words(m, 6)
         assert words == sorted(words)
         assert all(m.accepts(w) for w in words)
+
+
+def test_successor_rejects_bad_letter():
+    with pytest.raises(ValueError, match="^letter 'x' at position 1 is not 0 or 1$"):
+        successor(M_ONESTAR, "0x1")
+
+
+def _well_ordered_random(seeds: int, finite: bool):
+    for seed in range(seeds):
+        m = random_trim_dfa(seed, 5)
+        if check(m).well_ordered and order_type(m).overall.is_finite == finite:
+            yield m
+
+
+def test_successor_matches_the_oracle_on_finite_languages():
+    tried = 0
+    for m in _well_ordered_random(400, finite=True):
+        # A finite language has no word as long as the automaton.
+        language = enum_bounded(m, m.state_count)
+        for w in all_words(6):
+            i = bisect.bisect_right(language, w)
+            assert successor(m, w) == (language[i] if i < len(language) else None), w
+        tried += 1
+    assert tried >= 80
+
+
+def test_enumeration_agrees_with_fresh_successors():
+    tried = 0
+    for m in _well_ordered_random(2000, finite=False):
+        words = enumerate_words(m, 32)
+        assert len(words) == 32
+        for u, v in zip(words, words[1:]):
+            assert successor(m, u) == v
+        tried += 1
+    assert tried >= 40
+
+
+def _zeros_or_one(k: int) -> Dfa:
+    """{0^k, 1}: a chain of k 0-steps, an accepting 1-exit at the start."""
+    one, sink = k + 1, k + 2
+    delta = [(i + 1, sink) for i in range(k)]
+    delta[0] = (1, one)
+    delta += [(sink, sink), (sink, sink), (sink, sink)]
+    return Dfa(delta=tuple(delta), start=0, finals=frozenset({k, one}))
+
+
+def test_successor_enumeration_and_rank_are_linear_in_the_word():
+    k = 10**5
+    zeros = "0" * k
+    calls = [
+        (lambda m: successor(m, zeros), "1"),
+        (lambda m: enumerate_words(m, 2), [zeros, "1"]),
+        (lambda m: rank(m, zeros + "1").as_int(), 1),
+    ]
+    for call, want in calls:
+        m = _zeros_or_one(k)  # a fresh automaton: each call pays for its analysis
+        t0 = time.perf_counter()
+        got = call(m)
+        took = time.perf_counter() - t0
+        assert got == want
+        assert took < 1.0, took
 
 
 ###############################################################################

@@ -131,6 +131,11 @@ def test_rank_accepts_precomputed_table():
     assert rank(M_CYCLE2, "0100", table) == Ordinal.one()
 
 
+def test_rank_rejects_bad_letter():
+    with pytest.raises(ValueError, match="^letter 'x' at position 1 is not 0 or 1$"):
+        rank(M_ONESTAR, "0x1")
+
+
 def test_rank_of_unaccepted_word():
     # "01" is not in (01)*00 but still has a position: above "00" only
     assert rank(M_CYCLE2, "01") == Ordinal.one()
