@@ -28,6 +28,8 @@ def main() -> int:
         help="max word length for rank spot checks (0 disables)",
     )
     args = ap.parse_args()
+    if args.verify_depth < 0:
+        ap.error(f"--verify-depth must be at least 0, got {args.verify_depth}")
 
     print("states\ttotal\twell_ordered\tfailures\tseconds")
     bad = 0

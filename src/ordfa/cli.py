@@ -72,6 +72,8 @@ def _print_witness(w: wellorder.Witness) -> None:
 
 def _cmd_check(args) -> int:
     """`check`, and `witness`, which also replays the chain to --verify."""
+    if args.command == "witness" and args.verify < 0:
+        raise InputError(f"--verify must be at least 0, got {args.verify}")
     m = _load_trimmed(args.file)
     result = wellorder.check(m)
     if result.well_ordered:
@@ -92,7 +94,7 @@ def _cmd_ordtype(args) -> int:
     m = _load_trimmed(args.file)
     # Heights before types: the height pass's temporaries are the peak
     # of memory, and they are freed before the types are built.
-    cond = m.condensation if args.table else None
+    cond = dfa.condense(m) if args.table else None
     table = ordtype.order_type(m)
     print(ordinal.format_ordinal(table.overall))
     if cond is not None:
@@ -212,7 +214,7 @@ def _cmd_dot(args) -> int:
 def render_dot(m: dfa.Dfa) -> str:
     """Graphviz text for the automaton, states clustered by strong
     component (labeled with the component's height)."""
-    cond = m.condensation
+    cond = dfa.condense(m)
     snk = dfa.sink_of(m)
     lines = [
         "digraph automaton {",
@@ -247,6 +249,8 @@ def _cmd_fuzz(args) -> int:
         raise InputError(f"--states must be at least 1, got {args.states}")
     if args.seeds < 0:
         raise InputError(f"--seeds must be at least 0, got {args.seeds}")
+    if args.verify_depth < 0:
+        raise InputError(f"--verify-depth must be at least 0, got {args.verify_depth}")
     try:
         report = oracle.fuzz(
             args.seeds,

@@ -6,16 +6,18 @@ when every state is reachable from the start and at most one state has
 empty language (the sink).  Most analyses in the package assume trim
 input; `trim` produces it and reports what it changed.
 
-The facts the analyses share (reachable states, live states, strong
-component ids, the condensation) are memoized on the `Dfa` they
-describe: each is computed on first use, at most once per automaton,
-and is freed with it.  Nothing is kept across automata.
+The facts the analyses share (which states the start reaches, which
+are live, the dead states, strong component ids) come from one
+depth-first pass, `analyze`, memoized as `Dfa.analysis`: it runs on
+first use, at most once per automaton, and is freed with it.  Nothing
+is kept across automata.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+from typing import NamedTuple
 
 
 class DfaFormatError(ValueError):
@@ -35,28 +37,6 @@ class NotSimpleCycleError(Exception):
 
 
 _BIT = {"0": 0, "1": 1}
-
-
-class _memo:
-    """Method turned into an attribute computed on first access.
-
-    The value is written into the instance `__dict__`, where later
-    lookups find it before this (non-data) descriptor.  Unlike
-    `functools.cached_property` on Python 3.11, no lock is taken: two
-    threads may both compute a value, and since it depends only on the
-    automaton, either one is right.
-    """
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.name = fn.__name__
-        self.__doc__ = fn.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
 
 
 @dataclasses.dataclass(frozen=True)
@@ -117,25 +97,15 @@ class Dfa:
     def accepts(self, word: str) -> bool:
         return self.run(self.start, word) in self.finals
 
-    # Memos of the module functions of the same facts, written into the
-    # instance on first access, so they live as long as the automaton.
-    # They are not fields: equality and hashing ignore them.
-
-    @_memo
-    def reachable(self) -> frozenset[int]:
-        return reachable_states(self)
-
-    @_memo
-    def live(self) -> frozenset[int]:
-        return live_states(self)
-
-    @_memo
-    def scc_ids(self) -> tuple[int, ...]:
-        return tuple(component_ids(self))
-
-    @_memo
-    def condensation(self) -> Condensation:
-        return condense(self)
+    @property
+    def analysis(self) -> Analysis:
+        """The `analyze` pass, run on first access and kept in the
+        instance, so it lives as long as the automaton.  It is not a
+        field: equality and hashing ignore it."""
+        a = self.__dict__.get("analysis")
+        if a is None:
+            a = self.__dict__["analysis"] = analyze(self)
+        return a
 
 
 def _bad_letter(word: str) -> str:
@@ -152,45 +122,122 @@ def validate_word(word: str) -> str:
     return word
 
 
-def reachable_states(m: Dfa) -> frozenset[int]:
-    """States reachable from the start state."""
-    seen = {m.start}
-    todo = [m.start]
-    for q in todo:  # breadth-first: the loop reaches every appended state
-        for t in m.delta[q]:
-            if t not in seen:
-                seen.add(t)
-                todo.append(t)
-    return frozenset(seen)
+class Analysis(NamedTuple):
+    """What one depth-first pass (`analyze`) learns about an automaton.
+
+    `component_of[q]` is q's strong-component id.  Ids count components
+    in the order Tarjan's algorithm emits them, which is reverse
+    topological: every transition leaving a component leads to a
+    smaller id.  `live[q]` says whether q's language is nonempty.  The
+    start reaches exactly the states whose id is below `reached`.
+    `dead` lists the states with empty language in ascending order, and
+    `unreachable` counts the states the start does not reach.
+    """
+
+    component_of: tuple[int, ...]
+    live: tuple[bool, ...]
+    reached: int
+    dead: tuple[int, ...]
+    unreachable: int
 
 
-def live_states(m: Dfa) -> frozenset[int]:
-    """States with nonempty language, i.e. that can reach a final state."""
-    rev: list[list[int]] = [[] for _ in range(m.state_count)]
-    for q, row in enumerate(m.delta):
-        for t in row:
-            rev[t].append(q)
-    seen = set(m.finals)
-    todo = list(seen)
-    for q in todo:
-        for p in rev[q]:
-            if p not in seen:
-                seen.add(p)
-                todo.append(p)
-    return frozenset(seen)
+def analyze(m: Dfa) -> Analysis:
+    """Strong components, liveness and reachability of every state, by
+    one pass of Tarjan's algorithm (Tarjan 1972, SIAM J. Comput. 1(2)).
+
+    The pass starts at the start state, then at each state not yet
+    visited, so every state gets an id and a live flag.  A component is
+    emitted only after every component it leads to, so it is live
+    exactly when it holds a final state or has an edge into a live
+    component emitted before it.  The components emitted from the start
+    are the ones it reaches.  Iterative, so deep transition chains
+    cannot overflow the Python stack.
+    """
+    delta, finals = m.delta, m.finals
+    n = len(delta)
+    index = [0] * n  # visit number, 0 while unvisited
+    low = [0] * n
+    comp_of = [-1] * n  # -1 while unvisited or still on the stack
+    live = [False] * n
+    next_edge = [0] * n
+    stack: list[int] = []
+    dead: list[int] = []
+    counter = k = 0
+    reached = unreachable = -1
+    for root in (m.start, *range(n)):
+        if index[root]:
+            continue
+        counter += 1
+        index[root] = low[root] = counter
+        stack.append(root)
+        work = [root]
+        while work:
+            v = work[-1]
+            row = delta[v]
+            i = next_edge[v]
+            while i < 2:
+                w = row[i]
+                i += 1
+                if not index[w]:
+                    next_edge[v] = i
+                    counter += 1
+                    index[w] = low[w] = counter
+                    stack.append(w)
+                    work.append(w)
+                    break
+                if comp_of[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:  # both edges done: v is finished
+                work.pop()
+                if low[v] == index[v]:
+                    # Emit v's component: v and the states above it on the
+                    # stack.  Their own live flags are still False, so
+                    # only finals and edges into earlier components count.
+                    w = stack.pop()
+                    comp_of[w] = k
+                    if w == v:  # the common case of a single state
+                        if w in finals or live[row[0]] or live[row[1]]:
+                            live[w] = True
+                        else:
+                            dead.append(w)
+                    else:
+                        a, b = delta[w]
+                        is_live = w in finals or live[a] or live[b]
+                        members = [w]
+                        while w != v:
+                            w = stack.pop()
+                            comp_of[w] = k
+                            members.append(w)
+                            if not is_live:
+                                a, b = delta[w]
+                                is_live = w in finals or live[a] or live[b]
+                        if is_live:
+                            for w in members:
+                                live[w] = True
+                        else:
+                            dead += members
+                    k += 1
+                if work:
+                    u = work[-1]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+        if reached < 0:  # the pass from the start is over
+            reached, unreachable = k, n - counter
+    dead.sort()
+    return Analysis(tuple(comp_of), tuple(live), reached, tuple(dead), unreachable)
 
 
 def is_trim(m: Dfa) -> bool:
-    return len(m.reachable) == m.state_count and m.state_count - len(m.live) <= 1
+    a = m.analysis
+    return not a.unreachable and len(a.dead) <= 1
 
 
 def ensure_trim(m: Dfa) -> None:
-    unreachable = m.state_count - len(m.reachable)
-    if unreachable:
-        raise NotTrimError(f"{unreachable} unreachable state(s); run trim first")
-    dead = m.state_count - len(m.live)
-    if dead > 1:
-        raise NotTrimError(f"{dead} states have empty language; run trim first")
+    a = m.analysis
+    if a.unreachable:
+        raise NotTrimError(f"{a.unreachable} unreachable state(s); run trim first")
+    if len(a.dead) > 1:
+        raise NotTrimError(f"{len(a.dead)} states have empty language; run trim first")
 
 
 def sink_of(m: Dfa) -> int | None:
@@ -199,10 +246,9 @@ def sink_of(m: Dfa) -> int | None:
     Diagnoses a non-trim automaton instead of silently picking one of
     several dead states.
     """
-    live = m.live
-    dead = [q for q in range(m.state_count) if q not in live]
+    dead = m.analysis.dead
     if len(dead) > 1:
-        raise MultipleSinksError(f"states {dead} all have empty language")
+        raise MultipleSinksError(f"states {list(dead)} all have empty language")
     return dead[0] if dead else None
 
 
@@ -232,36 +278,31 @@ def trim(m: Dfa) -> TrimReport:
     Kept states keep their relative order, so a trim automaton maps to
     itself.
     """
-    reach = m.reachable
-    live = m.live & reach
-    dead = reach - live
-    removed = frozenset(range(m.state_count)) - reach
+    a = m.analysis
+    ids, live = a.component_of, a.live
+    reach = [q for q in range(m.state_count) if ids[q] < a.reached]
+    dead = [q for q in reach if not live[q]]
+    sink_rep = dead[0] if dead else None
+    kept = [q for q in reach if live[q] or q == sink_rep]
+    sink = kept.index(sink_rep) if dead else None
+    # New index of each kept state; the other states land on the sink.
+    new_of = [sink] * m.state_count
+    for i, q in enumerate(kept):
+        new_of[q] = i
 
-    sink_rep = min(dead) if dead else None
-    kept = sorted(live | {sink_rep}) if dead else sorted(live)
-    new_index = {old: i for i, old in enumerate(kept)}
-    sink_new = new_index[sink_rep] if dead else None
-
-    def target(t: int) -> int:
-        return sink_new if t in dead else new_index[t]
-
-    rows = []
-    for old in kept:
-        if old == sink_rep:
-            rows.append((sink_new, sink_new))
-        else:
-            rows.append((target(m.delta[old][0]), target(m.delta[old][1])))
+    # The sink's edges lead to dead states, so they become its own loops.
+    delta = m.delta
     trimmed = Dfa(
-        delta=tuple(rows),
-        start=target(m.start),
-        finals=frozenset(new_index[q] for q in m.finals & live),
+        delta=tuple((new_of[delta[q][0]], new_of[delta[q][1]]) for q in kept),
+        start=new_of[m.start],
+        finals=frozenset(new_of[q] for q in m.finals if ids[q] < a.reached),
     )
     return TrimReport(
         trimmed=trimmed,
-        state_map={q: target(q) for q in reach},
-        removed_unreachable=removed,
-        merged_into_sink=frozenset(dead - {sink_rep}),
-        sink=sink_new,
+        state_map={q: new_of[q] for q in reach},
+        removed_unreachable=frozenset(range(m.state_count)).difference(reach),
+        merged_into_sink=frozenset(dead[1:]),
+        sink=sink,
     )
 
 
@@ -281,67 +322,10 @@ class Condensation:
     height_of: tuple[int, ...]
 
 
-def component_ids(m: Dfa) -> list[int]:
-    """Strong-component id of every state, by one pass of Tarjan's
-    algorithm (Tarjan 1972, SIAM J. Comput. 1(2)).
-
-    Two states share an id exactly when they lie in the same strong
-    component.  Ids count components in emission order, which is
-    reverse topological: every transition leaving a component leads to
-    a smaller id.  `Dfa.scc_ids` keeps the result; `condense` adds the
-    height-ordered numbering.  Iterative so deep transition chains
-    cannot overflow the Python stack.
-    """
-    delta = m.delta
-    n = len(delta)
-    index = [0] * n  # visit number, 0 while unvisited
-    low = [0] * n
-    comp_of = [-1] * n  # -1 while unvisited or still on the stack
-    next_edge = [0] * n
-    stack: list[int] = []
-    counter = 0
-    k = 0
-    for root in range(n):
-        if index[root]:
-            continue
-        counter += 1
-        index[root] = low[root] = counter
-        stack.append(root)
-        work = [root]
-        while work:
-            v = work[-1]
-            i = next_edge[v]
-            if i < 2:
-                next_edge[v] = i + 1
-                w = delta[v][i]
-                if not index[w]:
-                    counter += 1
-                    index[w] = low[w] = counter
-                    stack.append(w)
-                    work.append(w)
-                elif comp_of[w] < 0 and index[w] < low[v]:
-                    low[v] = index[w]
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    comp_of[w] = k
-                    if w == v:
-                        break
-                k += 1
-            if work:
-                u = work[-1]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-    return comp_of
-
-
 def condense(m: Dfa) -> Condensation:
-    """Condensation of m, built on `m.scc_ids`; `Dfa.condensation`
-    keeps the result."""
+    """Condensation of m, built on the component ids of `m.analysis`."""
     delta = m.delta
-    emit_of = m.scc_ids
+    emit_of = m.analysis.component_of
     k = max(emit_of) + 1
     emitted: list[list[int]] = [[] for _ in range(k)]
     for q, j in enumerate(emit_of):
@@ -376,12 +360,6 @@ def condense(m: Dfa) -> Condensation:
     )
 
 
-def is_recursive(m: Dfa, q: int) -> bool:
-    """True when q lies on a cycle and is not the sink."""
-    ids = m.scc_ids
-    return q != sink_of(m) and ids[q] in (ids[t] for t in m.delta[q])
-
-
 def loop_word(m: Dfa, q: int) -> str:
     """Shortest nonempty word sending recursive q back to itself.
 
@@ -392,7 +370,7 @@ def loop_word(m: Dfa, q: int) -> str:
     walk is a cycle through q, and no other state can share a strong
     component with it.
     """
-    ids = m.scc_ids
+    ids = m.analysis.component_of
     cid = ids[q]
     letters = []
     s = q

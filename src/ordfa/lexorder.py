@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import itertools
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
 from .dfa import Dfa, validate_word
 
@@ -60,7 +60,7 @@ def _divergence(u: str, v: str) -> int:
     raise ValueError("one word is a prefix of the other")
 
 
-def _min_from(m: Dfa, live: frozenset[int], trace: list[int]) -> str:
+def _min_from(m: Dfa, live: Sequence[bool], trace: list[int]) -> str:
     """Least word accepted from the live state trace[-1], by greedy
     descent; the states it visits after trace[-1] are appended to trace.
 
@@ -78,7 +78,7 @@ def _min_from(m: Dfa, live: frozenset[int], trace: list[int]) -> str:
                 f"greedy descent revisits state {q}; no least word exists"
             )
         seen.add(q)
-        b = 0 if delta[q][0] in live else 1
+        b = 0 if live[delta[q][0]] else 1
         letters.append("01"[b])
         q = delta[q][b]
         trace.append(q)
@@ -98,7 +98,7 @@ def _read(m: Dfa, w: str) -> list[int]:
     return trace
 
 
-def _next(m: Dfa, live: frozenset[int], w: str, trace: list[int]) -> str | None:
+def _next(m: Dfa, live: Sequence[bool], w: str, trace: list[int]) -> str | None:
     """Least accepted word strictly above w, where trace is w's state
     trace; trace becomes the answer's trace (and stays as it is when
     there is no answer).
@@ -112,17 +112,17 @@ def _next(m: Dfa, live: frozenset[int], w: str, trace: list[int]) -> str | None:
     """
     delta = m.delta
     q = trace[-1]
-    if q in live:
+    if live[q]:
         for b in (0, 1):
             t = delta[q][b]
-            if t in live:
+            if live[t]:
                 trace.append(t)
                 return w + "01"[b] + _min_from(m, live, trace)
 
     i = len(w)
     while (i := w.rfind("0", 0, i)) >= 0:
         t = delta[trace[i]][1]
-        if t in live:
+        if live[t]:
             del trace[i + 1:]
             trace.append(t)
             return w[:i] + "1" + _min_from(m, live, trace)
@@ -135,8 +135,8 @@ def min_word(m: Dfa) -> str | None:
     Raises NoMinimumError when the language is nonempty but has no
     least element.
     """
-    live = m.live
-    if m.start not in live:
+    live = m.analysis.live
+    if not live[m.start]:
         return None
     return _min_from(m, live, [m.start])
 
@@ -149,7 +149,7 @@ def successor(m: Dfa, w: str) -> str | None:
     ValueError, as `validate_word` does, on a letter other than '0'
     and '1'.  Reads w once: O(|w| + |answer|) time.
     """
-    return _next(m, m.live, w, _read(m, w))
+    return _next(m, m.analysis.live, w, _read(m, w))
 
 
 def iter_words(m: Dfa) -> Iterator[str]:
@@ -161,8 +161,8 @@ def iter_words(m: Dfa) -> Iterator[str]:
     again: the first n words cost O(their total length).  Raises
     NoMinimumError where the greedy descent finds no least word.
     """
-    live = m.live
-    if m.start not in live:
+    live = m.analysis.live
+    if not live[m.start]:
         return
     trace = [m.start]
     w = _min_from(m, live, trace)

@@ -14,7 +14,7 @@ import os
 import random
 from collections import deque
 
-from .dfa import Dfa, ensure_trim, sink_of, trim, validate_word
+from .dfa import Dfa, condense, ensure_trim, trim, validate_word
 from .lexorder import enumerate_words
 from .ordtype import order_type, rank
 from .wellorder import CheckResult, build_witness, check, verify_witness
@@ -67,9 +67,15 @@ def enum_bounded(m: Dfa, bound: int) -> list[str]:
 
 def naive_check(m: Dfa) -> CheckResult:
     """Quadratic well-order check: per-state breadth-first reachability
-    instead of a condensation.  Same verdict and witness as `check`."""
+    instead of strong components.  Same verdict and witness as `check`.
+    The sink is taken by its shape, not from `sink_of`, so the routes
+    share no liveness pass: in a trim automaton the one dead state is
+    the non-final state whose two edges both loop to itself."""
     ensure_trim(m)
-    snk = sink_of(m)
+    snk = next(
+        (q for q, (a, b) in enumerate(m.delta) if a == b == q and q not in m.finals),
+        None,
+    )
     for q in range(m.state_count):
         if q == snk:
             continue
@@ -304,7 +310,7 @@ def _examine(m: Dfa, verify_depth: int, rank_len: int):
 
     table = order_type(m)
     checks += 1
-    cond = m.condensation
+    cond = condense(m)
     for q in range(m.state_count):
         if table.per_state[q].degree > cond.height_of[q]:
             return verdict, checks, "height-bound"
@@ -339,10 +345,12 @@ def fuzz(
     Seeded mode generates `seeds` random automata and reports one case
     per seed.  Exhaustive mode walks every trim automaton with at most
     `states` states instead (cases are recorded only for failures).
-    A bad ORDFA_ORACLE_CAP raises OracleCapError before any automaton
-    is examined.
+    A bad ORDFA_ORACLE_CAP raises OracleCapError, and a negative
+    verify_depth ValueError, before any automaton is examined.
     """
     _bound_cap()
+    if verify_depth < 0:
+        raise ValueError(f"verify_depth must be at least 0, got {verify_depth}")
     cases: list[FuzzCase] = []
     total = wo = nwo = failures = 0
     first_failure = None

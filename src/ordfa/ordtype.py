@@ -99,7 +99,7 @@ def order_type(m: Dfa) -> OrderTypeTable:
     """
     ensure_trim(m)
     snk = sink_of(m)
-    ids = m.scc_ids
+    ids = m.analysis.component_of
     # The same rule and witness as `check`.
     bad = failing_state(m, ids, snk)
     if bad is not None:

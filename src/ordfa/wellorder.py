@@ -71,13 +71,13 @@ def failing_state(m: Dfa, component_of: Sequence[int], sink: int | None) -> int 
 def check(m: Dfa) -> CheckResult:
     """Decide well-orderedness of L(m) for trim m.
 
-    Needs only the sink and strong-component ids (`m.scc_ids`, one
-    Tarjan pass per automaton, no condensation): state q fails when q and q.0 share a strong
-    component and q.1 is not the sink.  The reported witness is at the
-    smallest failing state index.
+    Needs only the sink and the strong-component ids of `m.analysis`
+    (one Tarjan pass per automaton, no condensation): state q fails
+    when q and q.0 share a strong component and q.1 is not the sink.
+    The reported witness is at the smallest failing state index.
     """
     ensure_trim(m)
-    q = failing_state(m, m.scc_ids, sink_of(m))
+    q = failing_state(m, m.analysis.component_of, sink_of(m))
     if q is None:
         return CheckResult(True, None)
     return CheckResult(False, build_witness(m, q))
@@ -94,7 +94,10 @@ def _chain_failure(m: Dfa, w: Witness, upto: int) -> str | None:
     '0' loop '1' tail and '1' tail, so descent follows from the letters
     0 and 1 just after the shared prefix and is decided once, on those
     suffixes.  The words themselves are built only to describe a
-    failure.
+    failure.  The automaton is deterministic, so once the run of
+    access (0 loop)^n comes back to a state it held at an earlier
+    depth, every later depth repeats a check that already passed:
+    replay stops there, after at most one depth per state.
     """
     zero_loop = "0" + w.loop
     one_tail = "1" + w.tail
@@ -108,7 +111,11 @@ def _chain_failure(m: Dfa, w: Witness, upto: int) -> str | None:
     loop_bits = _bits(zero_loop)
     tail_bits = _bits(one_tail)
     state = m.run(m.start, w.access)
+    seen = set()
     for n in range(upto):
+        if state in seen:
+            return None
+        seen.add(state)
         s = state
         for b in tail_bits:
             s = delta[s][b]
@@ -126,8 +133,9 @@ def _bits(word: str) -> tuple[int, ...]:
 def verify_witness(m: Dfa, w: Witness, upto: int) -> bool:
     """Replay the chain to depth upto: membership of chain[0..upto-1]
     and strict descent of each next word.  Membership is read state by
-    state at every depth; descent follows from the letters 0 and 1 just
-    after the prefix that consecutive words share."""
+    state up to the first depth whose state repeats an earlier one;
+    descent follows from the letters 0 and 1 just after the prefix that
+    consecutive words share."""
     return _chain_failure(m, w, upto) is None
 
 

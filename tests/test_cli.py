@@ -59,6 +59,12 @@ def test_witness_replays_chain(automaton_file, capsys):
     assert "verified to depth 12: ok" in out
 
 
+def test_witness_rejects_negative_depth(automaton_file, capsys):
+    code, out, err = run(capsys, "witness", automaton_file(M_0STAR1), "--verify", "-3")
+    assert (code, out) == (2, "")
+    assert err == "error: --verify must be at least 0, got -3\n"
+
+
 def test_witness_on_well_ordered(automaton_file, capsys):
     code, out, _ = run(capsys, "witness", automaton_file(M_CYCLE2))
     assert code == 0
@@ -303,6 +309,9 @@ def test_fuzz_rejects_bad_counts(capsys):
     code, out, err = run(capsys, "fuzz", "--seeds", "-1")
     assert (code, out) == (2, "")
     assert err == "error: --seeds must be at least 0, got -1\n"
+    code, out, err = run(capsys, "fuzz", "--verify-depth", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: --verify-depth must be at least 0, got -1\n"
 
 
 def test_fuzz_bad_oracle_cap(monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import weakref
 
@@ -11,9 +12,9 @@ from ordfa.dfa import (
     DfaFormatError,
     MultipleSinksError,
     NotSimpleCycleError,
+    analyze,
     condense,
     from_json,
-    is_recursive,
     is_trim,
     loop_word,
     shortest_word,
@@ -211,6 +212,56 @@ def test_condense_dag_edges_acyclic(m):
 
 
 ###############################################################################
+# analyze
+###############################################################################
+
+
+def _reached_from(m, src):
+    """States a plain forward search from src finds, src included."""
+    seen = {src}
+    todo = [src]
+    while todo:
+        for t in m.delta[todo.pop()]:
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return seen
+
+
+def _assert_analysis_matches_plain_searches(m):
+    a = analyze(m)
+    ids = a.component_of
+    reach = {q: _reached_from(m, q) for q in range(m.state_count)}
+    assert {q for q in range(m.state_count) if ids[q] < a.reached} == reach[m.start]
+    assert a.unreachable == m.state_count - len(reach[m.start])
+    assert a.live == tuple(bool(reach[q] & m.finals) for q in range(m.state_count))
+    assert a.dead == tuple(q for q in range(m.state_count) if not a.live[q])
+    for p in range(m.state_count):
+        for q in range(m.state_count):
+            assert (ids[p] == ids[q]) == (q in reach[p] and p in reach[q])
+        assert all(ids[t] <= ids[p] for t in m.delta[p])
+
+
+@settings(max_examples=200)
+@given(raw_dfas())
+def test_analysis_matches_plain_searches(m):
+    _assert_analysis_matches_plain_searches(m)
+
+
+def test_analysis_matches_plain_searches_on_all_tiny_automata():
+    # Every automaton with at most 3 states, any start and any finals:
+    # small enough to walk, and it holds the shapes random draws miss,
+    # such as a cycle of non-final states with a single exit.
+    for n in (1, 2, 3):
+        for rows in itertools.product(itertools.product(range(n), repeat=2), repeat=n):
+            for start in range(n):
+                for mask in range(1 << n):
+                    finals = frozenset(q for q in range(n) if mask >> q & 1)
+                    m = Dfa(delta=rows, start=start, finals=finals)
+                    _assert_analysis_matches_plain_searches(m)
+
+
+###############################################################################
 # per-automaton memos
 ###############################################################################
 
@@ -233,8 +284,10 @@ def test_analysis_is_freed_with_its_automaton():
 
 
 def test_tarjan_runs_once_per_automaton(monkeypatch):
+    # Built first: synth's trims run the analysis on their own inputs.
+    m = _fresh_automaton("w^4*2 + w^2*6 + 9")
     runs = []
-    tarjan = dfa.component_ids
+    tarjan = dfa.analyze
 
     def counting(m):
         runs.append(m.state_count)
@@ -242,9 +295,8 @@ def test_tarjan_runs_once_per_automaton(monkeypatch):
 
     # Every module that bound the function by name, so no call escapes.
     for module in (dfa, wellorder, ordtype, lexorder, oracle):
-        if getattr(module, "component_ids", None) is tarjan:
-            monkeypatch.setattr(module, "component_ids", counting)
-    m = _fresh_automaton("w^4*2 + w^2*6 + 9")
+        if getattr(module, "analyze", None) is tarjan:
+            monkeypatch.setattr(module, "analyze", counting)
     wellorder.check(m)
     ordtype.order_type(m)
     ordtype.rank(m, "0")
@@ -256,13 +308,13 @@ def test_memos_leave_equality_and_hash_alone():
     m = _fresh_automaton("w^2*7 + 5")
     twin = Dfa(delta=m.delta, start=m.start, finals=m.finals)
     ordtype.order_type(m)
-    assert {"reachable", "live", "scc_ids"} <= set(vars(m))
+    assert "analysis" in vars(m)
     assert m == twin and hash(m) == hash(twin)
-    assert not {"reachable", "live", "scc_ids"} & set(vars(twin))
+    assert "analysis" not in vars(twin)
 
 
 ###############################################################################
-# sink_of / is_recursive / loop_word
+# sink_of / loop_word
 ###############################################################################
 
 
@@ -276,14 +328,6 @@ def test_sink_of_multiple_sinks():
     m = Dfa(delta=((1, 2), (1, 1), (2, 2)), start=0, finals=frozenset())
     with pytest.raises(MultipleSinksError):
         sink_of(m)
-
-
-def test_is_recursive():
-    assert is_recursive(M_ONESTAR, 0)
-    assert not is_recursive(M_ONESTAR, 1)  # the sink is never recursive
-    assert is_recursive(M_CYCLE2, 0)
-    assert is_recursive(M_CYCLE2, 1)
-    assert not is_recursive(M_CYCLE2, 2)
 
 
 def test_loop_word_examples():

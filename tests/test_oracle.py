@@ -182,6 +182,15 @@ def test_fuzz_single_case():
     assert case.checks_passed >= 2
 
 
+def test_fuzz_rejects_negative_verify_depth(monkeypatch):
+    def examine(*args):
+        raise AssertionError("an automaton was examined")
+
+    monkeypatch.setattr("ordfa.oracle._examine", examine)
+    with pytest.raises(ValueError, match="verify_depth must be at least 0, got -1"):
+        fuzz(5, 4, verify_depth=-1)
+
+
 def test_fuzz_exhaustive_small():
     report = fuzz(0, 2, exhaustive=True)
     assert report.ok

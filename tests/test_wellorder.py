@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -136,6 +137,14 @@ for call, expected in (
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_replay_depth_is_bounded_by_the_state_count():
+    # Past the first repeated state every depth repeats a passed check.
+    w = check(M_0STAR1).witness
+    t0 = time.perf_counter()
+    assert verify_witness(M_0STAR1, w, 10**12)
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_verify_witness_depth_zero_checks_nothing():
