@@ -15,7 +15,7 @@ from .lexorder import (
     successor,
 )
 from .ordinal import Ordinal, format_ordinal, parse_ordinal
-from .ordtype import LoopDecomposition, OrderTypeTable, order_type, rank, state_order_type
+from .ordtype import OrderTypeTable, order_type, rank
 from .synth import synth, synth_mul_omega, synth_one, synth_sum, synth_times, synth_zero
 from .wellorder import CheckResult, Witness, check, verify_witness, witness_chain
 
@@ -25,7 +25,6 @@ __all__ = [
     "Condensation",
     "Dfa",
     "LexRelation",
-    "LoopDecomposition",
     "OrderTypeTable",
     "Ordinal",
     "TrimReport",
@@ -49,7 +48,6 @@ __all__ = [
     "parse_ordinal",
     "rank",
     "sink_of",
-    "state_order_type",
     "successor",
     "synth",
     "synth_mul_omega",

@@ -9,6 +9,10 @@ from __future__ import annotations
 
 MAX_DEGREE = 64
 
+# Only ASCII digits: str.isdigit also accepts characters such as '²'
+# that int() rejects.
+_DIGITS = frozenset("0123456789")
+
 
 class DegreeOverflowError(Exception):
     """Raised when an ordinal would exceed degree MAX_DEGREE."""
@@ -85,9 +89,8 @@ class Ordinal:
         return self._coeffs[0] if self._coeffs else 0
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = Ordinal.from_int(other)
-        elif not isinstance(other, Ordinal):
+        other = _coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         if other.is_zero:
             return self
@@ -112,27 +115,34 @@ class Ordinal:
         return (len(self._coeffs), self._coeffs[::-1])
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = Ordinal.from_int(other)
-        elif not isinstance(other, Ordinal):
+        other = _coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         return self._coeffs == other._coeffs
 
     def __lt__(self, other):
-        if isinstance(other, int):
-            other = Ordinal.from_int(other)
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         return self._key() < other._key()
 
     def __le__(self, other):
-        if isinstance(other, int):
-            other = Ordinal.from_int(other)
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         return self._key() <= other._key()
 
     def __gt__(self, other):
-        return not self.__le__(other)
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._key() > other._key()
 
     def __ge__(self, other):
-        return not self.__lt__(other)
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._key() >= other._key()
 
     def __hash__(self):
         return hash(self._coeffs)
@@ -145,6 +155,15 @@ class Ordinal:
 
     def __repr__(self):
         return f"Ordinal({list(self._coeffs)!r})"
+
+
+def _coerce(other):
+    """other as an Ordinal (an int converts), or NotImplemented."""
+    if isinstance(other, Ordinal):
+        return other
+    if isinstance(other, int):
+        return Ordinal.from_int(other)
+    return NotImplemented
 
 
 def format_ordinal(o: Ordinal) -> str:
@@ -188,7 +207,7 @@ def parse_ordinal(text: str) -> Ordinal:
         nonlocal pos
         skip_ws()
         start = pos
-        while pos < n and text[pos].isdigit():
+        while pos < n and text[pos] in _DIGITS:
             pos += 1
         if pos == start:
             raise OrdinalParseError("expected an integer", start)
@@ -212,7 +231,7 @@ def parse_ordinal(text: str) -> Ordinal:
                 pos += 1
                 coeff = read_int()
             return Ordinal.omega_power(exp, coeff)
-        if text[pos].isdigit():
+        if text[pos] in _DIGITS:
             return Ordinal.from_int(read_int())
         raise OrdinalParseError(f"unexpected character {text[pos]!r}", pos)
 

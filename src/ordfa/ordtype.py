@@ -30,54 +30,28 @@ class NotWellOrderedError(Exception):
         self.witness = witness
 
 
-@dataclasses.dataclass(frozen=True)
-class LoopDecomposition:
-    """One lap around a recursive state's cycle.
-
-    `period` is the shortest word returning `state` to itself.
-    `accept_flags[i]` says whether the prefix period[:i] is accepted
-    from `state`; `exit_types[i]` is the order type of the 0-exit at
-    position i when the cycle reads a 1 there (the zero ordinal at
-    0-positions, whose 1-exits are dead).  `period_type` is their sum
-    in position order.
+def _lap(m: Dfa, q: int, types: list[Ordinal | None]) -> tuple[list[int], Ordinal]:
+    """The states of recursive q's cycle, in walk order from q, and the
+    type of one lap: position by position, one for an accepted prefix
+    plus the 0-exit's type where the cycle reads a 1 (a 0-position's
+    1-exit is the sink).  Each exit's type must already be in `types`.
     """
-
-    state: int
-    period: str
-    accept_flags: tuple[bool, ...]
-    exit_types: tuple[Ordinal, ...]
-    period_type: Ordinal
-
-
-def _decompose(m: Dfa, q: int, types: list[Ordinal | None]) -> LoopDecomposition:
-    period = loop_word(m, q)
-    flags = []
-    exits = []
+    cycle = []
     total = Ordinal.zero()
     s = q
-    for ch in period:
-        flag = s in m.finals
-        flags.append(flag)
+    for ch in loop_word(m, q):
+        cycle.append(s)
+        if s in m.finals:
+            total = total + 1
         if ch == "1":
             ext = types[m.delta[s][0]]
             if ext is None:
                 raise RuntimeError(
                     f"exit target {m.delta[s][0]} of state {s} was not processed first"
                 )
-        else:
-            ext = Ordinal.zero()
-        exits.append(ext)
-        if flag:
-            total = total + 1
-        total = total + ext
+            total = total + ext
         s = m.step(s, ch)
-    return LoopDecomposition(
-        state=q,
-        period=period,
-        accept_flags=tuple(flags),
-        exit_types=tuple(exits),
-        period_type=total,
-    )
+    return cycle, total
 
 
 @dataclasses.dataclass(frozen=True)
@@ -108,31 +82,26 @@ def order_type(m: Dfa) -> OrderTypeTable:
     # Every transition out of a strong component leads to a smaller
     # component id, so in id order each exit's type is already known.
     for q in sorted(range(m.state_count), key=ids.__getitem__):
+        if types[q] is not None:  # typed with the rest of its cycle
+            continue
         a, b = m.delta[q]
         if q == snk:
             types[q] = Ordinal.zero()
         elif ids[a] == ids[q] or ids[b] == ids[q]:  # q lies on a cycle
-            dec = _decompose(m, q, types)
-            if dec.period_type.is_zero:
+            # A passing cycle is simple, and every rotation of a lap has
+            # the same degree, so one lap types the whole component.
+            cycle, lap = _lap(m, q, types)
+            if lap.is_zero:
                 raise RuntimeError(f"live recursive state {q} has a lap of type 0")
-            types[q] = dec.period_type.times_omega()
+            t = lap.times_omega()
+            for s in cycle:
+                types[s] = t
         else:
             t = types[a] + types[b]
             if q in m.finals:
                 t = Ordinal.one() + t
             types[q] = t
     return OrderTypeTable(per_state=tuple(types), start=m.start)
-
-
-def state_order_type(m: Dfa, q: int) -> Ordinal:
-    return order_type(m).per_state[q]
-
-
-def decompose_loop(m: Dfa, q: int) -> LoopDecomposition:
-    """Lap decomposition at recursive state q of a well-ordered automaton."""
-    table = order_type(m)
-    types: list[Ordinal | None] = list(table.per_state)
-    return _decompose(m, q, types)
 
 
 def rank(m: Dfa, w: str, table: OrderTypeTable | None = None) -> Ordinal:

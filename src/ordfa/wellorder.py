@@ -83,7 +83,7 @@ def check(m: Dfa) -> CheckResult:
     return CheckResult(False, build_witness(m, q))
 
 
-def _chain_failure(m: Dfa, w: Witness, upto: int) -> str | None:
+def witness_failure(m: Dfa, w: Witness, upto: int) -> str | None:
     """First violated requirement when replaying the chain, or None.
 
     Checks, for n in 0..upto-1, that chain[n] is accepted and that
@@ -131,14 +131,7 @@ def _bits(word: str) -> tuple[int, ...]:
 
 
 def verify_witness(m: Dfa, w: Witness, upto: int) -> bool:
-    """Replay the chain to depth upto: membership of chain[0..upto-1]
-    and strict descent of each next word.  Membership is read state by
-    state up to the first depth whose state repeats an earlier one;
-    descent follows from the letters 0 and 1 just after the prefix that
-    consecutive words share."""
-    return _chain_failure(m, w, upto) is None
-
-
-def witness_failure(m: Dfa, w: Witness, upto: int) -> str | None:
-    """Diagnostic variant of verify_witness: describes the first failure."""
-    return _chain_failure(m, w, upto)
+    """True when the chain replays to depth upto: chain[0..upto-1] are
+    accepted and each next word is strictly below the one before (see
+    `witness_failure`)."""
+    return witness_failure(m, w, upto) is None

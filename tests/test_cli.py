@@ -165,6 +165,16 @@ def test_synth_bad_ordinal(capsys):
     assert "bad ordinal" in err
 
 
+@pytest.mark.parametrize("text, position", [("w^\u00b2", 2), ("\u00b2", 0)])
+def test_synth_rejects_non_ascii_digits(capsys, text, position):
+    code, out, err = run(capsys, "synth", text)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad ordinal")
+    assert f"(at position {position})" in err
+    assert len(err.splitlines()) == 1
+
+
 ###############################################################################
 # enum / min / succ
 ###############################################################################

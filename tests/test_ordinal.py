@@ -72,6 +72,16 @@ def test_parse_error_trailing_junk():
         parse_ordinal("")
 
 
+def test_parse_rejects_non_ascii_digits():
+    # str.isdigit accepts these, but int() does not
+    with pytest.raises(OrdinalParseError) as info:
+        parse_ordinal("w^\u00b2")
+    assert info.value.position == 2
+    with pytest.raises(OrdinalParseError) as info:
+        parse_ordinal("\u00b2")
+    assert info.value.position == 0
+
+
 def test_degree_overflow():
     with pytest.raises(DegreeOverflowError):
         Ordinal.omega_power(MAX_DEGREE + 1)
@@ -87,6 +97,19 @@ def test_comparisons():
     assert not W < W
 
 
+def test_comparison_with_a_non_ordinal_is_a_type_error():
+    for compare in (
+        lambda: Ordinal.one() < "a",
+        lambda: Ordinal.one() <= "a",
+        lambda: Ordinal.one() > "a",
+        lambda: Ordinal.one() >= "a",
+        lambda: "a" < Ordinal.one(),
+    ):
+        with pytest.raises(TypeError):
+            compare()
+    assert Ordinal.one() != "a"
+
+
 def test_int_coercion():
     assert Ordinal.from_int(3).as_int() == 3
     assert Ordinal.zero().as_int() == 0
@@ -94,6 +117,7 @@ def test_int_coercion():
         W.as_int()
     assert W.is_finite is False
     assert (2 + W) == W
+    assert 3 < W and W > 3 and 1 <= Ordinal.one() and 2 >= Ordinal.one()
 
 
 ordinals = st.builds(

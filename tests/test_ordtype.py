@@ -1,18 +1,13 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 
 from machines import M_0STAR1, M_CYCLE2, M_EPS, M_ONESTAR, trim_dfas
-from ordfa.dfa import Dfa, condense
+from ordfa.dfa import Dfa, condense, loop_word
 from ordfa.oracle import enum_bounded, random_trim_dfa
 from ordfa.ordinal import Ordinal, parse_ordinal
-from ordfa.ordtype import (
-    LoopDecomposition,
-    NotWellOrderedError,
-    decompose_loop,
-    order_type,
-    rank,
-    state_order_type,
-)
+from ordfa.ordtype import NotWellOrderedError, order_type, rank
 from ordfa.wellorder import Witness, check
 
 W = Ordinal.omega()
@@ -56,6 +51,19 @@ def test_order_type_omega_squared():
     assert order_type(m).overall == parse_ordinal("w^2")
 
 
+def test_order_type_cycle_over_omega():
+    # States 0 and 1 form a cycle on 1s; both 0-exits lead to state 2,
+    # whose language {1^k 0} has type w.  A lap is w*2, so the whole
+    # cycle, not only the state the lap starts from, has type w^2.
+    m = Dfa(
+        delta=((2, 1), (2, 0), (3, 2), (4, 4), (4, 4)),
+        start=0,
+        finals=frozenset({3}),
+    )
+    w2 = parse_ordinal("w^2")
+    assert order_type(m).per_state == (w2, w2, W, Ordinal.one(), Ordinal.zero())
+
+
 def test_order_type_rejects_non_well_ordered():
     with pytest.raises(NotWellOrderedError) as info:
         order_type(M_0STAR1)
@@ -64,8 +72,9 @@ def test_order_type_rejects_non_well_ordered():
 
 
 def test_order_type_rejects_with_the_check_witness():
-    # order_type decides on its own condensation; the witness must still
-    # be the one check reports (the smallest failing state).
+    # order_type applies failing_state to the component ids of
+    # m.analysis itself; the witness must still be the one check
+    # reports (the smallest failing state).
     rejected = 0
     for seed in range(300):
         m = random_trim_dfa(seed, 8)
@@ -79,36 +88,27 @@ def test_order_type_rejects_with_the_check_witness():
     assert rejected > 100
 
 
-def test_state_order_type():
-    assert state_order_type(M_CYCLE2, 2) == Ordinal.one()
+def _one_cycle(length):
+    # States 0..length-1 form one cycle on the letter 1; every 0-exit goes
+    # to the final state `length`, whose edges go to the sink.
+    f, sink = length, length + 1
+    delta = tuple((f, (q + 1) % length) for q in range(length))
+    delta += ((sink, sink), (sink, sink))
+    return Dfa(delta=delta, start=0, finals=frozenset({f}))
 
 
-###############################################################################
-# decompose_loop
-###############################################################################
-
-
-def test_decompose_loop_cycle2():
-    dec = decompose_loop(M_CYCLE2, 0)
-    assert dec == LoopDecomposition(
-        state=0,
-        period="01",
-        accept_flags=(False, False),
-        exit_types=(Ordinal.zero(), Ordinal.one()),
-        period_type=Ordinal.one(),
-    )
-
-
-def test_decompose_loop_onestar():
-    dec = decompose_loop(M_ONESTAR, 0)
-    assert dec.period == "1"
-    assert dec.accept_flags == (True,)
-    assert dec.period_type == Ordinal.one()
-
-
-def test_decompose_loop_rejects_trivial_state():
-    with pytest.raises(ValueError):
-        decompose_loop(M_CYCLE2, 2)
+def test_long_cycle_is_typed_in_linear_time():
+    # One lap types the whole cycle; a lap per state was quadratic.
+    length = 5000
+    m = _one_cycle(length)
+    t0 = time.perf_counter()
+    table = order_type(m)
+    assert time.perf_counter() - t0 < 1.0
+    assert table.per_state[:length] == (W,) * length
+    m = _one_cycle(length)
+    t0 = time.perf_counter()
+    assert rank(m, "1" * length) == Ordinal.from_int(length)
+    assert time.perf_counter() - t0 < 1.0
 
 
 ###############################################################################
@@ -205,14 +205,24 @@ def test_recursive_states_have_infinite_types(m):
     if table is None:
         return
     cond = condense(m)
+    types = table.per_state
     for cid, members in enumerate(cond.components):
         if not cond.nontrivial[cid]:
             continue
         for q in members:
-            t = table.per_state[q]
+            t = types[q]
             if t.is_zero:
                 continue  # the sink's self loop
             assert not t.is_finite
-            dec = decompose_loop(m, q)
-            assert dec.period_type.times_omega() == t
-            assert dec.period_type.degree + 1 == t.degree
+            # The lap from q: accepted prefixes plus each 1-position's
+            # 0-exit.  Every rotation must give the same type.
+            lap = Ordinal.zero()
+            s = q
+            for ch in loop_word(m, q):
+                if s in m.finals:
+                    lap = lap + 1
+                if ch == "1":
+                    lap = lap + types[m.delta[s][0]]
+                s = m.step(s, ch)
+            assert lap.times_omega() == t
+            assert lap.degree + 1 == t.degree
