@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import os
 import random
 from collections import deque
 
@@ -19,43 +18,23 @@ from .lexorder import enumerate_words
 from .ordtype import order_type, rank
 from .wellorder import CheckResult, build_witness, check, verify_witness
 
-DEFAULT_BOUND_CAP = 20
+ENUM_BOUND_CAP = 20
 
 
 class BoundTooLargeError(ValueError):
-    """Enumeration bound beyond the configured cap."""
-
-
-class OracleCapError(ValueError):
-    """ORDFA_ORACLE_CAP holds something other than a natural number."""
-
-
-def _bound_cap() -> int:
-    """Cap on enumeration bounds: ORDFA_ORACLE_CAP when it is set and
-    nonempty, else DEFAULT_BOUND_CAP.  OracleCapError, naming the
-    variable, when it is not a natural number."""
-    raw = os.environ.get("ORDFA_ORACLE_CAP")
-    if not raw:
-        return DEFAULT_BOUND_CAP
-    if not raw.isdecimal():
-        raise OracleCapError(f"ORDFA_ORACLE_CAP must be a natural number, got {raw!r}")
-    return int(raw)
-
-
-def _check_bound(bound: int) -> None:
-    cap = _bound_cap()
-    if bound > cap:
-        raise BoundTooLargeError(f"bound {bound} exceeds the cap {cap}")
-    if bound < 0:
-        raise ValueError("bound must be a natural")
+    """Enumeration bound beyond ENUM_BOUND_CAP."""
 
 
 def enum_bounded(m: Dfa, bound: int) -> list[str]:
     """All accepted words of length at most bound, in lexicographic order.
 
-    Pure enumeration over every candidate word; desk scale only.
+    Pure enumeration over every candidate word, 2^(bound+1) - 1 of
+    them, so the bound is capped at ENUM_BOUND_CAP.
     """
-    _check_bound(bound)
+    if bound > ENUM_BOUND_CAP:
+        raise BoundTooLargeError(f"bound {bound} exceeds the cap {ENUM_BOUND_CAP}")
+    if bound < 0:
+        raise ValueError("bound must be a natural")
     out = []
     for length in range(bound + 1):
         for tup in itertools.product("01", repeat=length):
@@ -105,9 +84,11 @@ def brute_rank(m: Dfa, w: str, bound: int) -> int:
 
     No ordinal machinery is involved: accepted-word counts per state and
     length are tabulated, then summed along w.  Tests pin this against a
-    literal filter of enum_bounded.
+    literal filter of enum_bounded.  It takes O(states * bound) time,
+    so the bound is not capped.
     """
-    _check_bound(bound)
+    if bound < 0:
+        raise ValueError("bound must be a natural")
     validate_word(w)
     n = m.state_count
     cnt = [1 if q in m.finals else 0 for q in range(n)]
@@ -345,10 +326,9 @@ def fuzz(
     Seeded mode generates `seeds` random automata and reports one case
     per seed.  Exhaustive mode walks every trim automaton with at most
     `states` states instead (cases are recorded only for failures).
-    A bad ORDFA_ORACLE_CAP raises OracleCapError, and a negative
-    verify_depth ValueError, before any automaton is examined.
+    A negative verify_depth raises ValueError before any automaton is
+    examined.
     """
-    _bound_cap()
     if verify_depth < 0:
         raise ValueError(f"verify_depth must be at least 0, got {verify_depth}")
     cases: list[FuzzCase] = []

@@ -101,9 +101,10 @@ class Ordinal:
         return Ordinal(b[:d] + (a_d + b[d],) + a[d + 1 :])
 
     def __radd__(self, other):
-        if isinstance(other, int):
-            return Ordinal.from_int(other) + self
-        return NotImplemented
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + self
 
     def times_omega(self) -> "Ordinal":
         """Ordinal product with w: 0 for 0, else w^(degree+1)."""
@@ -145,7 +146,9 @@ class Ordinal:
         return self._key() >= other._key()
 
     def __hash__(self):
-        return hash(self._coeffs)
+        # A finite ordinal equals its int, so it hashes as that int.
+        cs = self._coeffs
+        return hash(cs) if len(cs) > 1 else hash(cs[0] if cs else 0)
 
     def __bool__(self):
         return bool(self._coeffs)
@@ -158,10 +161,11 @@ class Ordinal:
 
 
 def _coerce(other):
-    """other as an Ordinal (an int converts), or NotImplemented."""
+    """other as an Ordinal (a natural int converts), or NotImplemented
+    (for a bool, a negative int or a non-number)."""
     if isinstance(other, Ordinal):
         return other
-    if isinstance(other, int):
+    if isinstance(other, int) and not isinstance(other, bool) and other >= 0:
         return Ordinal.from_int(other)
     return NotImplemented
 

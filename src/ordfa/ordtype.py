@@ -4,19 +4,20 @@ Every state's language gets an ordinal below w^w, computed bottom-up
 over the strong components.  The sink is 0.  A non-recursive state q
 contributes [q final] + type(q.0) + type(q.1), matching the split of
 its language into the empty word, the 0-branch and the 1-branch.  A
-recursive state's language splits into laps of its cycle: one lap
-contributes, position by position, the acceptance of the prefix walked
-so far plus the type of the 0-exit wherever the cycle reads a 1; the
-full language is that lap type times w.
+recursive state's language splits into laps of its cycle, and one lap
+has the type that `rank` gives its loop word: the acceptance of each
+prefix walked so far plus the type of the 0-exit wherever the cycle
+reads a 1.  The full language is that lap type times w.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Sequence
 
-from .dfa import Dfa, ensure_trim, loop_word, sink_of, validate_word
+from .dfa import Dfa, loop_word, sink_of, validate_word
 from .ordinal import Ordinal
-from .wellorder import Witness, build_witness, failing_state
+from .wellorder import Witness, check
 
 
 class NotWellOrderedError(Exception):
@@ -30,28 +31,24 @@ class NotWellOrderedError(Exception):
         self.witness = witness
 
 
-def _lap(m: Dfa, q: int, types: list[Ordinal | None]) -> tuple[list[int], Ordinal]:
-    """The states of recursive q's cycle, in walk order from q, and the
-    type of one lap: position by position, one for an accepted prefix
-    plus the 0-exit's type where the cycle reads a 1 (a 0-position's
-    1-exit is the sink).  Each exit's type must already be in `types`.
-    """
-    cycle = []
+def _walk(m: Dfa, q: int, word: str, types: Sequence[Ordinal | None]) -> Ordinal:
+    """The rank formula along word from state q: position by position,
+    one for an accepted prefix plus the 0-exit's type where the word
+    reads a 1.  Each such exit's type must already be in `types`."""
+    delta, finals = m.delta, m.finals
     total = Ordinal.zero()
-    s = q
-    for ch in loop_word(m, q):
-        cycle.append(s)
-        if s in m.finals:
+    for ch in word:
+        if q in finals:
             total = total + 1
         if ch == "1":
-            ext = types[m.delta[s][0]]
+            ext = types[delta[q][0]]
             if ext is None:
                 raise RuntimeError(
-                    f"exit target {m.delta[s][0]} of state {s} was not processed first"
+                    f"exit target {delta[q][0]} of state {q} was not processed first"
                 )
             total = total + ext
-        s = m.step(s, ch)
-    return cycle, total
+        q = delta[q][ch == "1"]
+    return total
 
 
 @dataclasses.dataclass(frozen=True)
@@ -69,38 +66,37 @@ class OrderTypeTable:
 def order_type(m: Dfa) -> OrderTypeTable:
     """Order types of every state's language, for trim well-ordered m.
 
-    Raises NotWellOrderedError (carrying the witness) otherwise.
+    Raises NotWellOrderedError (carrying `check`'s witness) otherwise.
     """
-    ensure_trim(m)
+    result = check(m)
+    if not result.well_ordered:
+        raise NotWellOrderedError(result.witness)
     snk = sink_of(m)
     ids = m.analysis.component_of
-    # The same rule and witness as `check`.
-    bad = failing_state(m, ids, snk)
-    if bad is not None:
-        raise NotWellOrderedError(build_witness(m, bad))
     types: list[Ordinal | None] = [None] * m.state_count
+    prev = None
     # Every transition out of a strong component leads to a smaller
-    # component id, so in id order each exit's type is already known.
+    # component id, so in id order each exit's type is already known,
+    # and the states of one component come one after another.
     for q in sorted(range(m.state_count), key=ids.__getitem__):
-        if types[q] is not None:  # typed with the rest of its cycle
-            continue
         a, b = m.delta[q]
-        if q == snk:
-            types[q] = Ordinal.zero()
-        elif ids[a] == ids[q] or ids[b] == ids[q]:  # q lies on a cycle
+        if prev is not None and ids[prev] == ids[q]:
             # A passing cycle is simple, and every rotation of a lap has
             # the same degree, so one lap types the whole component.
-            cycle, lap = _lap(m, q, types)
+            t = types[prev]
+        elif q == snk:
+            t = Ordinal.zero()
+        elif ids[a] == ids[q] or ids[b] == ids[q]:  # q lies on a cycle
+            lap = _walk(m, q, loop_word(m, q), types)
             if lap.is_zero:
                 raise RuntimeError(f"live recursive state {q} has a lap of type 0")
             t = lap.times_omega()
-            for s in cycle:
-                types[s] = t
         else:
             t = types[a] + types[b]
             if q in m.finals:
                 t = Ordinal.one() + t
-            types[q] = t
+        types[q] = t
+        prev = q
     return OrderTypeTable(per_state=tuple(types), start=m.start)
 
 
@@ -116,13 +112,4 @@ def rank(m: Dfa, w: str, table: OrderTypeTable | None = None) -> Ordinal:
     validate_word(w)
     if table is None:
         table = order_type(m)
-    types, delta, finals = table.per_state, m.delta, m.finals
-    total = Ordinal.zero()
-    q = m.start
-    for ch in w:
-        if q in finals:
-            total = total + 1
-        if ch == "1":
-            total = total + types[delta[q][0]]
-        q = delta[q][ch == "1"]
-    return total
+    return _walk(m, m.start, w, table.per_state)

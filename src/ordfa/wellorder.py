@@ -10,7 +10,6 @@ descending chain produces such a state.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Sequence
 
 from .dfa import Dfa, ensure_trim, shortest_word, sink_of, validate_word
 
@@ -55,32 +54,22 @@ def build_witness(m: Dfa, q: int) -> Witness:
     return Witness(access=access, loop=loop, tail=tail, state=q)
 
 
-def failing_state(m: Dfa, component_of: Sequence[int], sink: int | None) -> int | None:
-    """Smallest state q that breaks well-ordering, or None.
-
-    q fails when it is not the sink, q and q.0 share a strong component
-    (`component_of` may number components in any way), and q.1 is not
-    the sink.
-    """
-    for q, (on0, on1) in enumerate(m.delta):
-        if q != sink and on1 != sink and component_of[q] == component_of[on0]:
-            return q
-    return None
-
-
 def check(m: Dfa) -> CheckResult:
     """Decide well-orderedness of L(m) for trim m.
 
-    Needs only the sink and the strong-component ids of `m.analysis`
-    (one Tarjan pass per automaton, no condensation): state q fails
-    when q and q.0 share a strong component and q.1 is not the sink.
-    The reported witness is at the smallest failing state index.
+    This is the one place the rule is applied (`ordtype.order_type`
+    decides through here): state q fails when it is not the sink, q and
+    q.0 share a strong component, and q.1 is not the sink.  It needs
+    only the sink and the strong-component ids of `m.analysis` (one
+    Tarjan pass per automaton, no condensation).  The reported witness
+    is at the smallest failing state index.
     """
     ensure_trim(m)
-    q = failing_state(m, m.analysis.component_of, sink_of(m))
-    if q is None:
-        return CheckResult(True, None)
-    return CheckResult(False, build_witness(m, q))
+    sink, ids = sink_of(m), m.analysis.component_of
+    for q, (on0, on1) in enumerate(m.delta):
+        if q != sink and on1 != sink and ids[q] == ids[on0]:
+            return CheckResult(False, build_witness(m, q))
+    return CheckResult(True, None)
 
 
 def witness_failure(m: Dfa, w: Witness, upto: int) -> str | None:

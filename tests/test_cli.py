@@ -324,13 +324,6 @@ def test_fuzz_rejects_bad_counts(capsys):
     assert err == "error: --verify-depth must be at least 0, got -1\n"
 
 
-def test_fuzz_bad_oracle_cap(monkeypatch, capsys):
-    monkeypatch.setenv("ORDFA_ORACLE_CAP", "abc")
-    code, out, err = run(capsys, "fuzz", "--seeds", "1")
-    assert (code, out) == (2, "")
-    assert err == "error: ORDFA_ORACLE_CAP must be a natural number, got 'abc'\n"
-
-
 def test_embed(capsys):
     assert run(capsys, "embed", "021") == (0, "01110\n", "")
     code, _, err = run(capsys, "embed", "031")

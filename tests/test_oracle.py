@@ -1,5 +1,3 @@
-import re
-
 import pytest
 from hypothesis import given, settings
 
@@ -9,8 +7,8 @@ from ordfa.lexorder import lex_less
 from ordfa.oracle import (
     BoundTooLargeError,
     FuzzCase,
-    OracleCapError,
     _closure,
+    _examine,
     _trim_key,
     brute_rank,
     enum_bounded,
@@ -40,23 +38,6 @@ def test_enum_bounded_rejects_big_bounds():
         enum_bounded(M_EPS, -1)
 
 
-def test_bound_cap_from_environment(monkeypatch):
-    monkeypatch.setenv("ORDFA_ORACLE_CAP", "4")
-    assert enum_bounded(M_EPS, 4) == [""]
-    with pytest.raises(BoundTooLargeError):
-        enum_bounded(M_EPS, 5)
-
-
-@pytest.mark.parametrize("raw", ["abc", "-1", "2.5"])
-def test_bound_cap_rejects_non_naturals(monkeypatch, raw):
-    monkeypatch.setenv("ORDFA_ORACLE_CAP", raw)
-    message = re.escape(f"ORDFA_ORACLE_CAP must be a natural number, got '{raw}'")
-    with pytest.raises(OracleCapError, match=message):
-        enum_bounded(M_EPS, 2)
-    with pytest.raises(OracleCapError, match=message):
-        fuzz(0, 4)
-
-
 ###############################################################################
 # naive_check
 ###############################################################################
@@ -84,6 +65,23 @@ def test_brute_rank_examples():
     assert brute_rank(M_ONESTAR, "11", 10) == 2
     assert brute_rank(M_CYCLE2, "0100", 10) == 1
     assert brute_rank(M_CYCLE2, "1", 6) == 3  # 00, 0100, 010100
+
+
+def test_brute_rank_has_no_bound_cap():
+    # Counting takes O(states * bound) time, so only enumeration is capped.
+    assert brute_rank(M_ONESTAR, "1" * 30, 30) == 30
+    with pytest.raises(ValueError):
+        brute_rank(M_ONESTAR, "1", -1)
+
+
+def test_examine_well_ordered_chain_beyond_the_enumeration_cap():
+    # {1^k : k <= 24}: 25 final states in a row and the sink, order type
+    # 25.  The rank checks count up to bound len(w) + 26.
+    sink = 25
+    delta = tuple((sink, q + 1) for q in range(24)) + ((sink, sink), (sink, sink))
+    m = Dfa(delta=delta, start=0, finals=frozenset(range(25)))
+    assert m.state_count == 26 and is_trim(m)
+    assert _examine(m, 32, 3) == ("well-ordered", 5, None)
 
 
 def test_brute_rank_matches_literal_filter():

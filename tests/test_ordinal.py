@@ -120,6 +120,29 @@ def test_int_coercion():
     assert 3 < W and W > 3 and 1 <= Ordinal.one() and 2 >= Ordinal.one()
 
 
+def test_finite_ordinals_hash_as_their_ints():
+    for n in (0, 1, 7, 10**20):
+        assert hash(Ordinal.from_int(n)) == hash(n)
+    assert {Ordinal.one(): 1} == {1: 1}
+    assert {Ordinal.zero(), 0, Ordinal.one(), 1, W} == {0, 1, W}
+
+
+def test_bools_and_negative_ints_are_not_ordinals():
+    one = Ordinal.one()
+    assert one != True and one != -1 and Ordinal.zero() != False
+    for op in (
+        lambda: one < -1,
+        lambda: -1 < one,
+        lambda: one >= True,
+        lambda: one + True,
+        lambda: True + one,
+        lambda: one + -1,
+        lambda: -1 + one,
+    ):
+        with pytest.raises(TypeError):
+            op()
+
+
 ordinals = st.builds(
     Ordinal, st.lists(st.integers(min_value=0, max_value=9), max_size=6)
 )

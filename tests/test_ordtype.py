@@ -72,9 +72,8 @@ def test_order_type_rejects_non_well_ordered():
 
 
 def test_order_type_rejects_with_the_check_witness():
-    # order_type applies failing_state to the component ids of
-    # m.analysis itself; the witness must still be the one check
-    # reports (the smallest failing state).
+    # order_type decides through check and raises with its witness
+    # (the one at the smallest failing state).
     rejected = 0
     for seed in range(300):
         m = random_trim_dfa(seed, 8)
