@@ -30,6 +30,8 @@ def main() -> int:
     args = ap.parse_args()
     if args.verify_depth < 0:
         ap.error(f"--verify-depth must be at least 0, got {args.verify_depth}")
+    if args.rank_len < 0:
+        ap.error(f"--rank-len must be at least 0, got {args.rank_len}")
 
     print("states\ttotal\twell_ordered\tfailures\tseconds")
     bad = 0

@@ -251,6 +251,8 @@ def _cmd_fuzz(args) -> int:
         raise InputError(f"--seeds must be at least 0, got {args.seeds}")
     if args.verify_depth < 0:
         raise InputError(f"--verify-depth must be at least 0, got {args.verify_depth}")
+    if args.rank_len < 0:
+        raise InputError(f"--rank-len must be at least 0, got {args.rank_len}")
     report = oracle.fuzz(
         args.seeds,
         args.states,

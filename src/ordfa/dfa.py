@@ -37,6 +37,8 @@ class NotSimpleCycleError(Exception):
 
 
 _BIT = {"0": 0, "1": 1}
+# str.translate table that deletes both letters: what is left is bad.
+_DROP_BITS = str.maketrans("", "", "01")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -116,9 +118,8 @@ def _bad_letter(word: str) -> str:
 
 def validate_word(word: str) -> str:
     """word itself; ValueError at its first letter other than '0' and '1'."""
-    for ch in word:
-        if ch not in _BIT:
-            raise ValueError(_bad_letter(word))
+    if word.translate(_DROP_BITS):
+        raise ValueError(_bad_letter(word))
     return word
 
 

@@ -326,11 +326,13 @@ def fuzz(
     Seeded mode generates `seeds` random automata and reports one case
     per seed.  Exhaustive mode walks every trim automaton with at most
     `states` states instead (cases are recorded only for failures).
-    A negative verify_depth raises ValueError before any automaton is
-    examined.
+    A negative verify_depth or rank_len raises ValueError before any
+    automaton is examined.
     """
     if verify_depth < 0:
         raise ValueError(f"verify_depth must be at least 0, got {verify_depth}")
+    if rank_len < 0:
+        raise ValueError(f"rank_len must be at least 0, got {rank_len}")
     cases: list[FuzzCase] = []
     total = wo = nwo = failures = 0
     first_failure = None

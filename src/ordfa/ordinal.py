@@ -89,6 +89,10 @@ class Ordinal:
         return self._coeffs[0] if self._coeffs else 0
 
     def __add__(self, other):
+        if type(other) is int and other > 0:
+            # A natural right summand only adds to the finite part.
+            a = self._coeffs
+            return Ordinal((a[0] + other,) + a[1:] if a else (other,))
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented

@@ -34,21 +34,31 @@ class NotWellOrderedError(Exception):
 def _walk(m: Dfa, q: int, word: str, types: Sequence[Ordinal | None]) -> Ordinal:
     """The rank formula along word from state q: position by position,
     one for an accepted prefix plus the 0-exit's type where the word
-    reads a 1.  Each such exit's type must already be in `types`."""
+    reads a 1.  Each such exit's type must already be in `types`.
+
+    The finite summands are counted as an int.  A finite left summand
+    is absorbed by an infinite one (n + a = a), so the count is dropped
+    at each infinite exit and added once at the end."""
     delta, finals = m.delta, m.finals
     total = Ordinal.zero()
+    n = 0
     for ch in word:
         if q in finals:
-            total = total + 1
+            n += 1
         if ch == "1":
             ext = types[delta[q][0]]
             if ext is None:
                 raise RuntimeError(
                     f"exit target {delta[q][0]} of state {q} was not processed first"
                 )
-            total = total + ext
+            cs = ext.coeffs
+            if len(cs) > 1:
+                total = total + ext
+                n = 0
+            elif cs:
+                n += cs[0]
         q = delta[q][ch == "1"]
-    return total
+    return total + n if n else total
 
 
 @dataclasses.dataclass(frozen=True)
@@ -107,9 +117,16 @@ def rank(m: Dfa, w: str, table: OrderTypeTable | None = None) -> Ordinal:
     not be accepted.  Walking w, every accepted proper prefix adds one,
     and every position reading a 1 adds the whole type of the 0-exit
     there, in position order.  Raises ValueError, as `validate_word`
-    does, on a letter other than '0' and '1'.
+    does, on a letter other than '0' and '1', and when `table` was not
+    built for an automaton of m's size and start.
     """
     validate_word(w)
     if table is None:
         table = order_type(m)
+    elif len(table.per_state) != m.state_count or table.start != m.start:
+        raise ValueError(
+            f"the table has {len(table.per_state)} states and start "
+            f"{table.start}, but the automaton has {m.state_count} states "
+            f"and start {m.start}"
+        )
     return _walk(m, m.start, w, table.per_state)

@@ -322,6 +322,23 @@ def test_fuzz_rejects_bad_counts(capsys):
     code, out, err = run(capsys, "fuzz", "--verify-depth", "-1")
     assert (code, out) == (2, "")
     assert err == "error: --verify-depth must be at least 0, got -1\n"
+    code, out, err = run(capsys, "fuzz", "--rank-len", "-5")
+    assert (code, out) == (2, "")
+    assert err == "error: --rank-len must be at least 0, got -5\n"
+
+
+def test_fuzz_sweep_script_rejects_negative_rank_len():
+    src = os.path.dirname(os.path.dirname(ordfa.__file__))
+    script = os.path.join(os.path.dirname(src), "scripts", "fuzz_sweep.py")
+    child = subprocess.run(
+        [sys.executable, script, "--rank-len", "-5"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (child.returncode, child.stdout) == (2, "")
+    assert child.stderr.endswith("error: --rank-len must be at least 0, got -5\n")
 
 
 def test_embed(capsys):

@@ -56,6 +56,28 @@ def test_run_rejects_bad_letter():
         M_ONESTAR.step(0, "2")
 
 
+@pytest.mark.parametrize(
+    "word, message",
+    [
+        ("0" * 100_000 + "2", "letter '2' at position 100000 is not 0 or 1"),
+        ("1" * 50_000 + "0" * 50_000 + "x1", "letter 'x' at position 100000 is not 0 or 1"),
+        ("01\u00b2", "letter '\u00b2' at position 2 is not 0 or 1"),
+        ("\u0661", "letter '\u0661' at position 0 is not 0 or 1"),
+        ("1\x000", "letter '\\x00' at position 1 is not 0 or 1"),
+        ("10\udc80", "letter '\\udc80' at position 2 is not 0 or 1"),
+    ],
+)
+def test_validate_word_names_the_first_bad_letter(word, message):
+    with pytest.raises(ValueError) as info:
+        dfa.validate_word(word)
+    assert str(info.value) == message
+
+
+def test_validate_word_returns_good_words():
+    for word in ("", "0", "1", "0110" * 25_000):
+        assert dfa.validate_word(word) is word
+
+
 def test_validation():
     with pytest.raises(ValueError):
         Dfa(delta=(), start=0, finals=frozenset())

@@ -189,6 +189,15 @@ def test_fuzz_rejects_negative_verify_depth(monkeypatch):
         fuzz(5, 4, verify_depth=-1)
 
 
+def test_fuzz_rejects_negative_rank_len(monkeypatch):
+    def examine(*args):
+        raise AssertionError("an automaton was examined")
+
+    monkeypatch.setattr("ordfa.oracle._examine", examine)
+    with pytest.raises(ValueError, match="rank_len must be at least 0, got -5"):
+        fuzz(5, 4, rank_len=-5)
+
+
 def test_fuzz_exhaustive_small():
     report = fuzz(0, 2, exhaustive=True)
     assert report.ok

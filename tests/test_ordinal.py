@@ -153,6 +153,14 @@ def test_addition_associative(a, b, c):
     assert (a + b) + c == a + (b + c)
 
 
+@given(ordinals, st.integers(min_value=0, max_value=10**20))
+def test_adding_an_int_adds_its_ordinal(a, n):
+    assert a + n == a + Ordinal.from_int(n)
+    assert n + a == Ordinal.from_int(n) + a
+    if n == 0:
+        assert a + n is a
+
+
 @given(ordinals, ordinals)
 def test_addition_monotone_left(a, b):
     c = a + b

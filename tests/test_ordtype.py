@@ -1,13 +1,17 @@
+import random
 import time
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from machines import M_0STAR1, M_CYCLE2, M_EPS, M_ONESTAR, trim_dfas
+from machines import M_0STAR1, M_CYCLE2, M_EPS, M_ONESTAR, all_words, binary_words, trim_dfas
 from ordfa.dfa import Dfa, condense, loop_word
-from ordfa.oracle import enum_bounded, random_trim_dfa
+from ordfa.lexorder import min_word, successor
+from ordfa.oracle import enum_bounded, exhaustive_trim_dfas, random_trim_dfa
 from ordfa.ordinal import Ordinal, parse_ordinal
 from ordfa.ordtype import NotWellOrderedError, order_type, rank
+from ordfa.synth import synth, synth_sum
 from ordfa.wellorder import Witness, check
 
 W = Ordinal.omega()
@@ -138,6 +142,155 @@ def test_rank_rejects_bad_letter():
 def test_rank_of_unaccepted_word():
     # "01" is not in (01)*00 but still has a position: above "00" only
     assert rank(M_CYCLE2, "01") == Ordinal.one()
+
+
+def test_rank_rejects_a_table_of_another_automaton():
+    small = synth(parse_ordinal("w+3"))
+    big = synth(parse_ordinal("w^2*5+w^3"))
+    with pytest.raises(ValueError, match="^the table has 5 states and start 4, "
+                       "but the automaton has 8 states and start 7$"):
+        rank(small, "0001", order_type(big))
+    with pytest.raises(ValueError, match="^the table has 8 states"):
+        rank(big, "111", order_type(small))
+    # Same size, other start.
+    m = Dfa(delta=((1, 0), (1, 1)), start=1, finals=frozenset({0}))
+    with pytest.raises(ValueError, match="start 0, but the automaton has 2 states and start 1$"):
+        rank(m, "", order_type(M_ONESTAR))
+
+
+def _synth_corpus():
+    """200 synthesized automata of degree at most 4.  Every other one is
+    a sum (a + b) + c in any order, not in Cantor normal form, so that a
+    finite summand can come before an infinite one on a word's path."""
+    rng = random.Random(9)
+
+    def ordinal():
+        return Ordinal([rng.randint(0, 6) for _ in range(rng.randint(1, 5))])
+
+    corpus = []
+    for i in range(200):
+        if i % 2:
+            left = synth_sum(synth(ordinal()), synth(ordinal()))
+            corpus.append(synth_sum(left, synth(ordinal())))
+        else:
+            corpus.append(synth(ordinal()))
+    return corpus
+
+
+def _last_word(m, q):
+    """The greatest word of L(q), for live q, or None when there is none.
+
+    Taking the 1-edge while it is live, else the 0-edge, finds it; the
+    walk returns to a state exactly when L(q) has no greatest word."""
+    live = m.analysis.live
+    word, seen = [], set()
+    while q not in seen:
+        seen.add(q)
+        a, b = m.delta[q]
+        if live[b]:
+            word.append("1")
+            q = b
+        elif live[a]:
+            word.append("0")
+            q = a
+        else:
+            return "".join(word)
+    return None
+
+
+def _walked_words(m, walk):
+    """The accepted prefixes p of walk, and each p0y where y is the
+    greatest word below p's live 0-edge: its successor lies past that
+    whole branch, so the step between the two ranks crosses the type of
+    the branch."""
+    q = m.start
+    for i in range(len(walk) + 1):
+        if q in m.finals:
+            yield walk[:i]
+        a = m.delta[q][0]
+        if m.analysis.live[a]:
+            y = _last_word(m, a)
+            if y is not None:
+                yield walk[:i] + "0" + y
+        if i < len(walk):
+            q = m.step(q, walk[i])
+
+
+def _assert_ranks_step_by_one(m, table, walks):
+    # The successor's rank is one more, also where the rank is infinite
+    # and finite summands before an infinite one must be absorbed.
+    assert rank(m, min_word(m)) == 0
+    for walk in walks:
+        for w in _walked_words(m, walk):
+            nxt = successor(m, w)
+            if nxt is not None:
+                assert rank(m, nxt, table) == rank(m, w, table) + 1, (m, w, nxt)
+
+
+@settings(max_examples=300)
+@given(trim_dfas(), st.lists(binary_words(12), min_size=1, max_size=8))
+def test_successor_ranks_one_higher_on_infinite_types(m, walks):
+    table = _well_ordered_table(m)
+    if table is None or table.overall.is_finite:
+        return
+    _assert_ranks_step_by_one(m, table, walks)
+
+
+def test_rank_absorbs_a_finite_summand_before_an_infinite_one():
+    # 0 S + 1, where S = {eps} + 1 (0 1* + 1) has type 1 + w + 1 = w + 1.
+    # Walking 011, S's empty word adds 1 before the 0-exit of type w;
+    # w absorbs it, so 011, the last word of 0 S, has rank w, not w + 1.
+    m = Dfa(
+        delta=((1, 4), (5, 2), (3, 4), (5, 3), (5, 5), (5, 5)),
+        start=0,
+        finals=frozenset({1, 3, 4}),
+    )
+    assert order_type(m).overall == parse_ordinal("w + 2")
+    assert successor(m, "011") == "1"
+    assert rank(m, "011") == W
+    assert rank(m, "1") == parse_ordinal("w + 1")
+
+
+def test_successor_ranks_one_higher_on_synthesized_automata():
+    rng = random.Random(4)
+    for m in _synth_corpus():
+        table = order_type(m)
+        if table.overall.is_finite:
+            continue
+        walks = [
+            "".join(rng.choice("01") for _ in range(rng.randint(0, 12)))
+            for _ in range(10)
+        ]
+        _assert_ranks_step_by_one(m, table, walks)
+
+
+def _rank_by_letters(m, w, table):
+    """The rank formula letter by letter, one ordinal addition per
+    accepted proper prefix and per letter 1."""
+    total = Ordinal.zero()
+    q = m.start
+    for ch in w:
+        if q in m.finals:
+            total = total + Ordinal.one()
+        if ch == "1":
+            total = total + table.per_state[m.delta[q][0]]
+        q = m.step(q, ch)
+    return total
+
+
+def test_rank_matches_the_letter_by_letter_formula():
+    words = list(all_words(8))
+    small = [m for m in exhaustive_trim_dfas(3) if check(m).well_ordered]
+    # Without a table each call builds one; on the larger synthesized
+    # automata only the words of at most 5 letters pay for that.
+    for corpus, untabled in ((small, 8), (_synth_corpus(), 5)):
+        for m in corpus:
+            table = order_type(m)
+            for w in words:
+                expected = _rank_by_letters(m, w, table)
+                assert rank(m, w, table) == expected, (m, w)
+                if len(w) <= untabled:
+                    assert rank(m, w) == expected, (m, w)
 
 
 ###############################################################################
