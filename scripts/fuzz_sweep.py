@@ -28,6 +28,10 @@ def main() -> int:
         help="max word length for rank spot checks (0 disables)",
     )
     args = ap.parse_args()
+    if args.seeds < 0:
+        ap.error(f"--seeds must be at least 0, got {args.seeds}")
+    if args.max_states < 2:
+        ap.error(f"--max-states must be at least 2, got {args.max_states}")
     if args.verify_depth < 0:
         ap.error(f"--verify-depth must be at least 0, got {args.verify_depth}")
     if args.rank_len < 0:

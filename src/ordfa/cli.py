@@ -177,6 +177,8 @@ def _read_chain(path: str) -> list[str]:
             lines = fh.read().splitlines()
     except OSError as e:
         raise InputError(f"{path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: not UTF-8 text: {e}") from e
     words = []
     for i, line in enumerate(lines, start=1):
         text = line.strip()
@@ -363,7 +365,7 @@ def _run(argv) -> int:
     except lexorder.NoMinimumError as e:
         print(f"not well-ordered: {e}")
         return EXIT_NEGATIVE
-    except ordinal.DegreeOverflowError as e:
+    except ordinal.OrdinalRangeError as e:
         where = f"{args.file}: " if hasattr(args, "file") else ""
         print(f"error: {where}order type out of range: {e}", file=sys.stderr)
         return EXIT_INPUT

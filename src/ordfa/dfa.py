@@ -309,55 +309,41 @@ def trim(m: Dfa) -> TrimReport:
 
 @dataclasses.dataclass(frozen=True)
 class Condensation:
-    """Strong components of an automaton with a deterministic numbering.
+    """Strong components of an automaton and their heights.
 
-    Components are numbered by (height, smallest member): component 0 is
-    a lowest one, and every transition out of a component leads to a
-    component with a smaller number.  `height_of[q]` counts the
+    Components are numbered by the ids of `m.analysis`: `components[j]`
+    lists the states with id j in ascending order, and every transition
+    out of a component leads to a smaller id.  `height_of[q]` counts the
     components strictly below q's, over the whole reachability order.
     """
 
-    component_of: tuple[int, ...]
     components: tuple[tuple[int, ...], ...]
-    nontrivial: tuple[bool, ...]
     height_of: tuple[int, ...]
 
 
 def condense(m: Dfa) -> Condensation:
     """Condensation of m, built on the component ids of `m.analysis`."""
     delta = m.delta
-    emit_of = m.analysis.component_of
-    k = max(emit_of) + 1
-    emitted: list[list[int]] = [[] for _ in range(k)]
-    for q, j in enumerate(emit_of):
-        emitted[j].append(q)  # ascending, since q ascends
+    ids = m.analysis.component_of
+    components: list[list[int]] = [[] for _ in range(max(ids) + 1)]
+    for q, j in enumerate(ids):
+        components[j].append(q)  # ascending, since q ascends
 
-    # Strictly-below sets as bitmasks over emission indices.  Reverse
-    # topological emission order makes successors available early.
-    # A transition that stays inside its component closes a cycle.
-    below = [0] * k
-    cyclic = [False] * k
-    for j, comp in enumerate(emitted):
+    # Strictly-below sets as bitmasks over component ids.  Transitions
+    # out of a component lead to smaller ids, whose sets are done.
+    below: list[int] = []
+    for j, comp in enumerate(components):
         mask = 0
         for q in comp:
             for t in delta[q]:
-                jt = emit_of[t]
+                jt = ids[t]
                 if jt != j:
                     mask |= (1 << jt) | below[jt]
-                else:
-                    cyclic[j] = True
-        below[j] = mask
+        below.append(mask)
     heights = [b.bit_count() for b in below]
-
-    order = sorted(range(k), key=lambda j: (heights[j], emitted[j][0]))
-    cid_of_emit = [0] * k
-    for cid, j in enumerate(order):
-        cid_of_emit[j] = cid
     return Condensation(
-        component_of=tuple(cid_of_emit[j] for j in emit_of),
-        components=tuple(tuple(emitted[j]) for j in order),
-        nontrivial=tuple(cyclic[j] for j in order),
-        height_of=tuple(heights[j] for j in emit_of),
+        components=tuple(map(tuple, components)),
+        height_of=tuple(heights[j] for j in ids),
     )
 
 
@@ -427,11 +413,13 @@ def from_json(text: str) -> Dfa:
 
     The format is a single JSON object {"start": int, "finals": [int...],
     "delta": [[on0, on1], ...]} with len(delta) states.  Unknown keys are
-    rejected; `Dfa` checks the state indices.
+    rejected; `Dfa` checks the state indices.  Text that `json` cannot
+    read, an integer beyond Python's int/str digit limit or nesting
+    too deep for its parser included, raises DfaFormatError.
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
         raise DfaFormatError(f"not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise DfaFormatError("top level must be a JSON object")
@@ -462,8 +450,14 @@ def to_json(m: Dfa) -> str:
 
 
 def load(path: str) -> Dfa:
+    """The automaton in the file at path; DfaFormatError when the file
+    is not UTF-8 text or not in the format `from_json` reads."""
     with open(path, encoding="utf-8") as fh:
-        return from_json(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise DfaFormatError(f"not UTF-8 text: {e}") from e
+    return from_json(text)
 
 
 def dump(m: Dfa, path: str) -> None:

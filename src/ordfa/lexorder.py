@@ -48,10 +48,6 @@ def compare_lex(u: str, v: str) -> LexRelation:
     return LexRelation.STRICT_LESS if u < v else LexRelation.STRICT_GREATER
 
 
-def lex_less(u: str, v: str) -> bool:
-    return u < v
-
-
 def _divergence(u: str, v: str) -> int:
     """Index of the first position where u and v differ."""
     for i, (a, b) in enumerate(zip(u, v)):

@@ -326,9 +326,13 @@ def fuzz(
     Seeded mode generates `seeds` random automata and reports one case
     per seed.  Exhaustive mode walks every trim automaton with at most
     `states` states instead (cases are recorded only for failures).
-    A negative verify_depth or rank_len raises ValueError before any
-    automaton is examined.
+    A negative seeds, verify_depth or rank_len, or states below 1,
+    raises ValueError before any automaton is examined.
     """
+    if seeds < 0:
+        raise ValueError(f"seeds must be at least 0, got {seeds}")
+    if states < 1:
+        raise ValueError(f"states must be at least 1, got {states}")
     if verify_depth < 0:
         raise ValueError(f"verify_depth must be at least 0, got {verify_depth}")
     if rank_len < 0:

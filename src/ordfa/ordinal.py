@@ -3,9 +3,16 @@
 An ordinal is kept as a tuple of natural coefficients (c0, c1, ..., cd),
 index = exponent, so (4, 1, 3) means w^2*3 + w*1 + 4.  The tuple never
 ends in a zero; the empty tuple is the ordinal 0.
+
+Coefficients are Python ints, so they read and write in decimal only
+up to the interpreter's int/str digit limit (`sys.get_int_max_str_digits`,
+4,300 digits by default): `parse_ordinal` rejects a longer integer and
+`format_ordinal` a longer coefficient.
 """
 
 from __future__ import annotations
+
+import sys
 
 MAX_DEGREE = 64
 
@@ -14,7 +21,11 @@ MAX_DEGREE = 64
 _DIGITS = frozenset("0123456789")
 
 
-class DegreeOverflowError(Exception):
+class OrdinalRangeError(Exception):
+    """An ordinal beyond what this module represents or writes out."""
+
+
+class DegreeOverflowError(OrdinalRangeError):
     """Raised when an ordinal would exceed degree MAX_DEGREE."""
 
 
@@ -174,20 +185,32 @@ def _coerce(other):
     return NotImplemented
 
 
+def _digit_limit() -> str:
+    return f"{sys.get_int_max_str_digits():,} digits, Python's int/str limit"
+
+
 def format_ordinal(o: Ordinal) -> str:
-    """Canonical text: terms by descending exponent, e.g. "w^2*3 + w + 4"."""
+    """Canonical text: terms by descending exponent, e.g. "w^2*3 + w + 4".
+
+    Raises OrdinalRangeError when a coefficient has more digits than the
+    int/str limit lets Python write."""
     if o.is_zero:
         return "0"
     parts = []
-    for k in range(len(o.coeffs) - 1, -1, -1):
-        c = o.coeffs[k]
-        if c == 0:
-            continue
-        if k == 0:
-            parts.append(str(c))
-        else:
-            base = "w" if k == 1 else f"w^{k}"
-            parts.append(base if c == 1 else f"{base}*{c}")
+    try:
+        for k in range(len(o.coeffs) - 1, -1, -1):
+            c = o.coeffs[k]
+            if c == 0:
+                continue
+            if k == 0:
+                parts.append(str(c))
+            else:
+                base = "w" if k == 1 else f"w^{k}"
+                parts.append(base if c == 1 else f"{base}*{c}")
+    except ValueError:  # only writing a coefficient can fail
+        raise OrdinalRangeError(
+            f"the coefficient of w^{k} has more than {_digit_limit()}"
+        ) from None
     return " + ".join(parts)
 
 
@@ -219,7 +242,12 @@ def parse_ordinal(text: str) -> Ordinal:
             pos += 1
         if pos == start:
             raise OrdinalParseError("expected an integer", start)
-        return int(text[start:pos])
+        try:
+            return int(text[start:pos])
+        except ValueError:
+            raise OrdinalParseError(
+                f"integer of {pos - start:,} digits exceeds {_digit_limit()}", start
+            ) from None
 
     def read_term() -> Ordinal:
         nonlocal pos

@@ -15,7 +15,7 @@ import pytest
 
 from machines import M_ONESTAR, all_words, naive_relation
 from ordfa.dfa import Dfa, condense
-from ordfa.lexorder import LexRelation, analyze_chain, compare_lex, embed3to2, enumerate_words, lex_less
+from ordfa.lexorder import LexRelation, analyze_chain, compare_lex, embed3to2, enumerate_words
 from ordfa.oracle import (
     brute_rank,
     enum_bounded,
@@ -195,8 +195,8 @@ def test_rank_consistency_finite_ranks(random_sample):
             listed = enumerate_words(m, n + 1)
             below_exact = (
                 len(listed) >= n
-                and all(lex_less(v, w) for v in listed[:n])
-                and (len(listed) == n or not lex_less(listed[n], w))
+                and all(v < w for v in listed[:n])
+                and (len(listed) == n or not listed[n] < w)
             )
             bound = len(w) + m.state_count
             stabilized = (

@@ -327,18 +327,36 @@ def test_fuzz_rejects_bad_counts(capsys):
     assert err == "error: --rank-len must be at least 0, got -5\n"
 
 
-def test_fuzz_sweep_script_rejects_negative_rank_len():
+def _run_fuzz_sweep(*argv):
     src = os.path.dirname(os.path.dirname(ordfa.__file__))
     script = os.path.join(os.path.dirname(src), "scripts", "fuzz_sweep.py")
-    child = subprocess.run(
-        [sys.executable, script, "--rank-len", "-5"],
+    return subprocess.run(
+        [sys.executable, script, *argv],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+def test_fuzz_sweep_script_rejects_negative_rank_len():
+    child = _run_fuzz_sweep("--rank-len", "-5")
     assert (child.returncode, child.stdout) == (2, "")
     assert child.stderr.endswith("error: --rank-len must be at least 0, got -5\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--seeds", "-5"), "--seeds must be at least 0, got -5"),
+        (("--max-states", "1"), "--max-states must be at least 2, got 1"),
+    ],
+)
+def test_fuzz_sweep_script_rejects_counts_that_sweep_nothing(argv, message):
+    child = _run_fuzz_sweep(*argv)
+    assert (child.returncode, child.stdout) == (2, "")
+    assert child.stderr.endswith(f"error: {message}\n")
+    assert "Traceback" not in child.stderr
 
 
 def test_embed(capsys):
@@ -373,6 +391,54 @@ def test_bad_json_shape(tmp_path, capsys):
     code, _, err = run(capsys, "check", str(path))
     assert code == 2
     assert "missing keys" in err
+
+
+def _assert_one_error_line(code, out, err, prefix):
+    assert (code, out) == (2, "")
+    assert err.startswith(prefix)
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        # an integer beyond the int/str digit limit inside json.loads
+        (b'{"start": ' + b"9" * 5000 + b', "finals": [], "delta": [[0, 0]]}', "not valid JSON"),
+        (b"[" * 200_000, "not valid JSON"),  # deeper than the parser recurses
+        (b'{"start": 0, "finals": [], "delta": [[0, 0]]}\xff', "not UTF-8 text"),
+    ],
+    ids=["int-beyond-digit-limit", "nesting-beyond-recursion-limit", "byte-0xff"],
+)
+def test_malformed_automaton_file_is_an_input_error(tmp_path, capsys, content, reason):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "check", str(path))
+    _assert_one_error_line(code, out, err, f"error: {path}: {reason}: ")
+
+
+def test_chain_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "words.txt"
+    path.write_bytes(b"1\n\xff01\n")
+    code, out, err = run(capsys, "analyze-chain", str(path))
+    _assert_one_error_line(code, out, err, f"error: {path}: not UTF-8 text: ")
+
+
+def test_integer_beyond_the_digit_limit_is_a_bad_ordinal(capsys):
+    for text, position in (("9" * 5000, 0), ("w*" + "9" * 5000, 2)):
+        code, out, err = run(capsys, "synth", text)
+        _assert_one_error_line(code, out, err, "error: bad ordinal")
+        assert err.endswith(f"Python's int/str limit (at position {position})\n")
+
+
+def test_order_type_beyond_the_digit_limit_is_out_of_range(automaton_file, capsys):
+    # Every word of length at most 15,000: 2^15001 - 1 words, 4,516 digits.
+    n = 15_000
+    rows = tuple((i + 1, i + 1) for i in range(n + 1)) + ((n + 1, n + 1),)
+    path = automaton_file(Dfa(delta=rows, start=0, finals=frozenset(range(n + 1))))
+    for argv in (("ordtype", path), ("ordtype", path, "--table"), ("rank", path, "-w", "1")):
+        code, out, err = run(capsys, *argv)
+        _assert_one_error_line(code, out, err, f"error: {path}: order type out of range: ")
+        assert "Python's int/str limit" in err
 
 
 def test_no_arguments(capsys):

@@ -157,27 +157,39 @@ def test_trim_idempotent(m):
 ###############################################################################
 
 
+def _component_index(c):
+    """The index in c.components of each state's component."""
+    return {q: j for j, comp in enumerate(c.components) for q in comp}
+
+
 def _dag_edges(m, c):
     """Pairs (component of q, component of q's target) across components."""
+    where = _component_index(c)
     return {
-        (c.component_of[q], c.component_of[t])
+        (where[q], where[t])
         for q in range(m.state_count)
         for t in m.delta[q]
-        if c.component_of[q] != c.component_of[t]
+        if where[q] != where[t]
     }
+
+
+def _has_cycle(m, members):
+    """Whether some edge stays inside the component `members`."""
+    return any(t in members for q in members for t in m.delta[q])
 
 
 def test_condense_onestar():
     c = condense(M_ONESTAR)
     assert c.components == ((1,), (0,))
-    assert c.nontrivial == (True, True)
+    assert [_has_cycle(M_ONESTAR, comp) for comp in c.components] == [True, True]
     assert c.height_of == (1, 0)
     assert _dag_edges(M_ONESTAR, c) == {(1, 0)}
 
 
 def test_condense_cycle2():
     c = condense(M_CYCLE2)
-    assert c.component_of[0] == c.component_of[1]
+    where = _component_index(c)
+    assert where[0] == where[1]
     assert {tuple(sorted(comp)) for comp in c.components} == {(0, 1), (2,), (3,)}
     assert c.height_of[0] == c.height_of[1] == 2
     assert c.height_of[2] == 1
@@ -186,7 +198,8 @@ def test_condense_cycle2():
 
 def test_condense_numbering_deterministic():
     c = condense(M_CYCLE2)
-    # ascending heights, ties impossible here
+    # the analysis's ids: the sink is emitted first, the start's cycle last
+    assert c.components == ((3,), (2,), (0, 1))
     assert [c.height_of[comp[0]] for comp in c.components] == [0, 1, 2]
 
 
@@ -219,18 +232,44 @@ def _mutual_reach(m, a, b):
 @settings(max_examples=100)
 @given(raw_dfas(max_states=6))
 def test_condense_matches_pairwise_reachability(m):
-    c = condense(m)
+    where = _component_index(condense(m))
     for a in range(m.state_count):
         for b in range(m.state_count):
-            same = c.component_of[a] == c.component_of[b]
+            same = where[a] == where[b]
             assert same == _mutual_reach(m, a, b)
 
 
 @given(raw_dfas(max_states=6))
 def test_condense_dag_edges_acyclic(m):
+    for a, b in _dag_edges(m, condense(m)):
+        assert b < a  # every edge out of a component leads to a smaller id
+
+
+def _assert_condense_keeps_the_analysis_numbering(m):
+    n = m.state_count
+    ids = m.analysis.component_of
     c = condense(m)
-    for a, b in _dag_edges(m, c):
-        assert b < a  # numbering ascends with height, edges point down
+    assert c.components == tuple(
+        tuple(q for q in range(n) if ids[q] == j) for j in range(max(ids) + 1)
+    )
+    # Heights by plain reachability: a component is the set of states
+    # that reach and are reached by one of its states.
+    reach = [_reached_from(m, q) for q in range(n)]
+    comp = [frozenset(p for p in reach[q] if q in reach[p]) for q in range(n)]
+    for q in range(n):
+        below = {comp[t] for t in reach[q]} - {comp[q]}
+        assert c.height_of[q] == len(below)
+
+
+def test_condense_keeps_the_analysis_numbering_exhaustively():
+    for m in oracle.exhaustive_trim_dfas(3):
+        _assert_condense_keeps_the_analysis_numbering(m)
+
+
+@settings(max_examples=200)
+@given(raw_dfas(max_states=6))
+def test_condense_keeps_the_analysis_numbering(m):
+    _assert_condense_keeps_the_analysis_numbering(m)
 
 
 ###############################################################################
@@ -414,6 +453,26 @@ def test_json_rejects_bad_shapes():
         from_json('{"start": 0, "finals": [], "delta": [[0, true]]}')
     with pytest.raises(DfaFormatError):
         from_json('{"start": 0, "finals": 3, "delta": [[0, 0]]}')
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"start": ' + "9" * 5000 + ', "finals": [], "delta": [[0, 0]]}',
+        "[" * 200_000,
+    ],
+    ids=["int-beyond-digit-limit", "nesting-beyond-recursion-limit"],
+)
+def test_json_reader_failures_are_format_errors(text):
+    with pytest.raises(DfaFormatError, match="not valid JSON"):
+        from_json(text)
+
+
+def test_load_rejects_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(to_json(M_EPS).encode() + b"\xff")
+    with pytest.raises(DfaFormatError, match="not UTF-8 text"):
+        dfa.load(str(path))
 
 
 @given(trim_dfas())

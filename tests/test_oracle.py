@@ -3,7 +3,6 @@ from hypothesis import given, settings
 
 from machines import M_0STAR1, M_CYCLE2, M_EPS, M_ONESTAR, all_words, raw_dfas
 from ordfa.dfa import Dfa, is_trim, trim
-from ordfa.lexorder import lex_less
 from ordfa.oracle import (
     BoundTooLargeError,
     FuzzCase,
@@ -58,7 +57,7 @@ def test_naive_check_fixtures():
 
 
 def _literal_rank(m, w, bound):
-    return sum(1 for v in enum_bounded(m, bound) if lex_less(v, w))
+    return sum(1 for v in enum_bounded(m, bound) if v < w)
 
 
 def test_brute_rank_examples():
@@ -196,6 +195,25 @@ def test_fuzz_rejects_negative_rank_len(monkeypatch):
     monkeypatch.setattr("ordfa.oracle._examine", examine)
     with pytest.raises(ValueError, match="rank_len must be at least 0, got -5"):
         fuzz(5, 4, rank_len=-5)
+
+
+@pytest.mark.parametrize(
+    "seeds, states, message",
+    [
+        (-3, 5, "seeds must be at least 0, got -3"),
+        (3, 0, "states must be at least 1, got 0"),
+        (0, 0, "states must be at least 1, got 0"),
+    ],
+)
+def test_fuzz_rejects_counts_that_examine_nothing(monkeypatch, seeds, states, message):
+    def examine(*args):
+        raise AssertionError("an automaton was examined")
+
+    monkeypatch.setattr("ordfa.oracle._examine", examine)
+    with pytest.raises(ValueError, match=message):
+        fuzz(seeds, states)
+    with pytest.raises(ValueError, match=message):
+        fuzz(seeds, states, exhaustive=True)
 
 
 def test_fuzz_exhaustive_small():

@@ -6,6 +6,7 @@ from ordfa.ordinal import (
     DegreeOverflowError,
     Ordinal,
     OrdinalParseError,
+    OrdinalRangeError,
     format_ordinal,
     parse_ordinal,
 )
@@ -89,6 +90,22 @@ def test_degree_overflow():
         parse_ordinal(f"w^{MAX_DEGREE + 1}")
     # the bound itself is fine
     assert Ordinal.omega_power(MAX_DEGREE).degree == MAX_DEGREE
+
+
+def test_parse_rejects_integers_beyond_the_digit_limit():
+    for text, position in (("9" * 5000, 0), ("w^2*" + "9" * 5000, 4), ("w + " + "1" * 5000, 4)):
+        with pytest.raises(OrdinalParseError, match="5,000 digits") as info:
+            parse_ordinal(text)
+        assert info.value.position == position
+
+
+def test_format_rejects_coefficients_beyond_the_digit_limit():
+    with pytest.raises(OrdinalRangeError, match="coefficient of w\\^0"):
+        format_ordinal(Ordinal((2**15001 - 1,)))
+    with pytest.raises(OrdinalRangeError, match="coefficient of w\\^2"):
+        str(Ordinal((0, 0, 10**5000)))
+    # a degree overflow is one kind of range error
+    assert issubclass(DegreeOverflowError, OrdinalRangeError)
 
 
 def test_comparisons():

@@ -356,11 +356,11 @@ def test_recursive_states_have_infinite_types(m):
     table = _well_ordered_table(m)
     if table is None:
         return
-    cond = condense(m)
+    ids = m.analysis.component_of
     types = table.per_state
-    for cid, members in enumerate(cond.components):
-        if not cond.nontrivial[cid]:
-            continue
+    for members in condense(m).components:
+        if not any(ids[t] == ids[q] for q in members for t in m.delta[q]):
+            continue  # no edge stays inside: not a cycle
         for q in members:
             t = types[q]
             if t.is_zero:
