@@ -20,33 +20,17 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, default=1000, help="automata per size")
     ap.add_argument("--max-states", type=int, default=8)
-    ap.add_argument("--verify-depth", type=int, default=32)
-    ap.add_argument(
-        "--rank-len",
-        type=int,
-        default=3,
-        help="max word length for rank spot checks (0 disables)",
-    )
     args = ap.parse_args()
     if args.seeds < 0:
         ap.error(f"--seeds must be at least 0, got {args.seeds}")
     if args.max_states < 2:
         ap.error(f"--max-states must be at least 2, got {args.max_states}")
-    if args.verify_depth < 0:
-        ap.error(f"--verify-depth must be at least 0, got {args.verify_depth}")
-    if args.rank_len < 0:
-        ap.error(f"--rank-len must be at least 0, got {args.rank_len}")
 
     print("states\ttotal\twell_ordered\tfailures\tseconds")
     bad = 0
     for states in range(2, args.max_states + 1):
         t0 = time.perf_counter()
-        report = fuzz(
-            args.seeds,
-            states,
-            verify_depth=args.verify_depth,
-            rank_len=args.rank_len,
-        )
+        report = fuzz(args.seeds, states)
         elapsed = time.perf_counter() - t0
         bad += report.failures
         print(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from typing import NamedTuple
 
 
@@ -255,17 +256,15 @@ def sink_of(m: Dfa) -> int | None:
 
 @dataclasses.dataclass(frozen=True)
 class TrimReport:
-    """Result of trimming: the new automaton plus the renumbering map.
+    """Result of trimming: the new automaton and what changed.
 
-    `state_map` sends every reachable old state to its new index (dead
-    states land on the sink).  Unreachable old states are dropped and
-    listed in `removed_unreachable`.  `merged_into_sink` holds the dead
-    states whose index disappeared by merging; `sink` is the new sink
-    index when one exists.
+    Unreachable old states are dropped and listed in
+    `removed_unreachable`.  `merged_into_sink` holds the dead states
+    whose index disappeared by merging; `sink` is the new sink index
+    when one exists.
     """
 
     trimmed: Dfa
-    state_map: dict[int, int]
     removed_unreachable: frozenset[int]
     merged_into_sink: frozenset[int]
     sink: int | None
@@ -300,7 +299,6 @@ def trim(m: Dfa) -> TrimReport:
     )
     return TrimReport(
         trimmed=trimmed,
-        state_map={q: new_of[q] for q in reach},
         removed_unreachable=frozenset(range(m.state_count)).difference(reach),
         merged_into_sink=frozenset(dead[1:]),
         sink=sink,
@@ -419,8 +417,13 @@ def from_json(text: str) -> Dfa:
     """
     try:
         doc = json.loads(text)
-    except (ValueError, RecursionError) as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise DfaFormatError(f"not valid JSON: {e}") from e
+    except ValueError as e:  # only reading an integer fails otherwise
+        raise DfaFormatError(
+            f"not valid JSON: an integer has more than "
+            f"{sys.get_int_max_str_digits():,} digits, Python's int/str limit"
+        ) from e
     if not isinstance(doc, dict):
         raise DfaFormatError("top level must be a JSON object")
     extra = set(doc) - {"start", "finals", "delta"}

@@ -48,14 +48,6 @@ def compare_lex(u: str, v: str) -> LexRelation:
     return LexRelation.STRICT_LESS if u < v else LexRelation.STRICT_GREATER
 
 
-def _divergence(u: str, v: str) -> int:
-    """Index of the first position where u and v differ."""
-    for i, (a, b) in enumerate(zip(u, v)):
-        if a != b:
-            return i
-    raise ValueError("one word is a prefix of the other")
-
-
 def _min_from(m: Dfa, live: Sequence[bool], trace: list[int]) -> str:
     """Least word accepted from the live state trace[-1], by greedy
     descent; the states it visits after trace[-1] are appended to trace.
@@ -229,25 +221,29 @@ class ChainAnalysis:
 
 
 def analyze_chain(words: list[str]) -> ChainAnalysis:
-    for i in range(len(words) - 1):
-        if compare_lex(words[i + 1], words[i]) is not LexRelation.STRICT_LESS:
-            raise NotStrictChainError(
-                f"words[{i + 1}] = {words[i + 1]!r} is not strictly below "
-                f"words[{i}] = {words[i]!r}"
-            )
+    """Active positions and canonical sequence of a strict chain.
+
+    NotStrictChainError names the first step that is not a strict drop.
+    """
     active = []
     for n in range(1, len(words)):
-        i = _divergence(words[n - 1], words[n])
+        old, new = words[n - 1], words[n]
+        # The first difference: a strict drop reads 1 in old, 0 in new.
+        i = next((i for i, (a, b) in enumerate(zip(old, new)) if a != b), None)
+        if i is None or old[i] != "1" or new[i] != "0":
+            raise NotStrictChainError(
+                f"words[{n}] = {new!r} is not strictly below "
+                f"words[{n - 1}] = {old!r}"
+            )
         active.append((i, n))
 
+    # The pool of the next entry holds the pairs above the last one in
+    # both coordinates, and its least pair comes first in (position,
+    # time) order.  A pair skipped once stays out: both bounds only grow.
     sequence = []
     i_prev, t_prev = -1, 0
-    while True:
-        pool = [(i, t) for (i, t) in active if i > i_prev and t > t_prev]
-        if not pool:
-            break
-        i_k = min(i for i, _ in pool)
-        t_k = min(t for i, t in pool if i == i_k)
-        sequence.append((i_k, t_k))
-        i_prev, t_prev = i_k, t_k
+    for i, t in sorted(active):
+        if i > i_prev and t > t_prev:
+            sequence.append((i, t))
+            i_prev, t_prev = i, t
     return ChainAnalysis(active=tuple(active), sequence=tuple(sequence))

@@ -19,6 +19,8 @@ from .ordtype import order_type, rank
 from .wellorder import CheckResult, build_witness, check, verify_witness
 
 ENUM_BOUND_CAP = 20
+# Longest word that `fuzz`'s rank spot checks rank on every automaton.
+RANK_CHECK_LEN = 3
 
 
 class BoundTooLargeError(ValueError):
@@ -218,7 +220,6 @@ class FuzzReport:
     failures: int
     first_failure_key: int | None
     cases: tuple[FuzzCase, ...]
-    exhaustive: bool
 
     @property
     def ok(self) -> bool:
@@ -240,9 +241,9 @@ class FuzzReport:
         return "\n".join(lines) + "\n"
 
 
-def _rank_consistency(m: Dfa, table, max_len: int) -> str | None:
+def _rank_consistency(m: Dfa, table) -> str | None:
     finite: list[tuple[str, int]] = []
-    for length in range(max_len + 1):
+    for length in range(RANK_CHECK_LEN + 1):
         for tup in itertools.product("01", repeat=length):
             w = "".join(tup)
             if not m.accepts(w):
@@ -270,7 +271,7 @@ def _rank_consistency(m: Dfa, table, max_len: int) -> str | None:
     return None
 
 
-def _examine(m: Dfa, verify_depth: int, rank_len: int):
+def _examine(m: Dfa):
     """Run the differential checks on one automaton.
 
     Returns (verdict, checks_passed, first_failure).
@@ -284,7 +285,9 @@ def _examine(m: Dfa, verify_depth: int, rank_len: int):
     checks += 1
 
     if not fast.well_ordered:
-        if not verify_witness(m, fast.witness, verify_depth):
+        # Replay stops at the first repeated state, which comes within
+        # state_count depths, so this depth checks the whole chain.
+        if not verify_witness(m, fast.witness, m.state_count):
             return verdict, checks, "witness-verification"
         checks += 1
         return verdict, checks, None
@@ -303,40 +306,29 @@ def _examine(m: Dfa, verify_depth: int, rank_len: int):
         if any(table.per_state[q] != first for q in members[1:]):
             return verdict, checks, "component-constancy"
     checks += 1
-    if rank_len > 0:
-        failure = _rank_consistency(m, table, rank_len)
-        if failure:
-            return verdict, checks, failure
-        checks += 1
+    failure = _rank_consistency(m, table)
+    if failure:
+        return verdict, checks, failure
+    checks += 1
     return verdict, checks, None
 
 
-def fuzz(
-    seeds: int,
-    states: int,
-    *,
-    exhaustive: bool = False,
-    verify_depth: int = 32,
-    rank_len: int = 3,
-) -> FuzzReport:
+def fuzz(seeds: int, states: int, *, exhaustive: bool = False) -> FuzzReport:
     """Differential sweep: fast check against naive check, witnesses
-    replayed, and on well-ordered cases the order-type invariants
-    (height bound, component constancy, rank consistency).
+    replayed to completion, and on well-ordered cases the order-type
+    invariants (height bound, component constancy, rank consistency on
+    every word of at most RANK_CHECK_LEN letters).
 
     Seeded mode generates `seeds` random automata and reports one case
     per seed.  Exhaustive mode walks every trim automaton with at most
     `states` states instead (cases are recorded only for failures).
-    A negative seeds, verify_depth or rank_len, or states below 1,
-    raises ValueError before any automaton is examined.
+    A negative seeds, or states below 1, raises ValueError before any
+    automaton is examined.
     """
     if seeds < 0:
         raise ValueError(f"seeds must be at least 0, got {seeds}")
     if states < 1:
         raise ValueError(f"states must be at least 1, got {states}")
-    if verify_depth < 0:
-        raise ValueError(f"verify_depth must be at least 0, got {verify_depth}")
-    if rank_len < 0:
-        raise ValueError(f"rank_len must be at least 0, got {rank_len}")
     cases: list[FuzzCase] = []
     total = wo = nwo = failures = 0
     first_failure = None
@@ -347,7 +339,7 @@ def fuzz(
         stream = ((s, random_trim_dfa(s, states)) for s in range(seeds))
 
     for key, m in stream:
-        verdict, passed, failure = _examine(m, verify_depth, rank_len)
+        verdict, passed, failure = _examine(m)
         total += 1
         if verdict == "well-ordered":
             wo += 1
@@ -366,5 +358,4 @@ def fuzz(
         failures=failures,
         first_failure_key=first_failure,
         cases=tuple(cases),
-        exhaustive=exhaustive,
     )

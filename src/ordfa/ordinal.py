@@ -172,7 +172,16 @@ class Ordinal:
         return format_ordinal(self)
 
     def __repr__(self):
-        return f"Ordinal({list(self._coeffs)!r})"
+        return f"Ordinal([{', '.join(map(_int_repr, self._coeffs))}])"
+
+
+def _int_repr(c: int) -> str:
+    """c in decimal, or in hexadecimal beyond the int/str digit limit,
+    which bounds only the decimal form."""
+    try:
+        return repr(c)
+    except ValueError:
+        return hex(c)
 
 
 def _coerce(other):

@@ -100,7 +100,7 @@ def test_trim_identity_on_trim_automaton():
         assert report.trimmed == m
         assert report.removed_unreachable == frozenset()
         assert report.merged_into_sink == frozenset()
-        assert report.state_map == {q: q for q in range(m.state_count)}
+        assert report.sink == sink_of(m)
 
 
 def test_trim_merges_two_dead_states():
@@ -110,9 +110,19 @@ def test_trim_merges_two_dead_states():
     t = report.trimmed
     assert t.state_count == 2
     assert sink_of(t) == report.sink == 1
-    assert report.state_map[1] == report.state_map[2] == 1
+    assert t.delta == ((1, 1), (1, 1))  # both dead states became the sink
     assert report.merged_into_sink == frozenset({2})
+    assert report.removed_unreachable == frozenset()
     assert is_trim(t)
+
+
+def test_trim_keeps_the_least_dead_state_as_the_sink():
+    # Dead states 1 and 3 around the live state 2: which one stays
+    # decides the sink's index.  At most 3 states cannot show this.
+    m = Dfa(delta=((1, 2), (1, 1), (3, 2), (3, 3)), start=0, finals=frozenset({2}))
+    report = trim(m)
+    assert report.trimmed.delta == ((1, 2), (1, 1), (1, 2))
+    assert (report.sink, report.merged_into_sink) == (1, frozenset({3}))
 
 
 def test_trim_removes_unreachable():
@@ -124,7 +134,9 @@ def test_trim_removes_unreachable():
     )
     report = trim(m)
     assert report.removed_unreachable == frozenset({2})
-    assert 2 not in report.state_map
+    # States 0, 1 and the dead 3 keep their order; 3 is the sink.
+    assert report.trimmed.delta == ((1, 2), (0, 1), (2, 2))
+    assert (report.sink, report.merged_into_sink) == (2, frozenset())
     for w in all_words(8):
         assert m.accepts(w) == report.trimmed.accepts(w)
 

@@ -303,6 +303,44 @@ def test_analyze_chain_rejects_prefix_steps():
         analyze_chain(["0", "1"])
 
 
+def _chain_by_definition(words):
+    """analyze_chain's result as ChainAnalysis defines it: each step's
+    first differing position, and each next sequence entry chosen from
+    the pool of active pairs above the previous entry."""
+    active = []
+    for t in range(1, len(words)):
+        old, new = words[t - 1], words[t]
+        i = next(i for i, (a, b) in enumerate(zip(old, new)) if a != b)
+        assert (old[i], new[i]) == ("1", "0")
+        active.append((i, t))
+    sequence = []
+    i_prev, t_prev = -1, 0
+    while True:
+        pool = [(i, t) for (i, t) in active if i > i_prev and t > t_prev]
+        if not pool:
+            return ChainAnalysis(active=tuple(active), sequence=tuple(sequence))
+        i_prev = min(i for i, _ in pool)
+        t_prev = min(t for i, t in pool if i == i_prev)
+        sequence.append((i_prev, t_prev))
+
+
+@given(st.sets(binary_words(8), min_size=2, max_size=40))
+def test_analyze_chain_matches_its_definition(words):
+    chain = extract_strict_chain(sorted(words, reverse=True))
+    assert analyze_chain(chain) == _chain_by_definition(chain)
+
+
+@given(st.lists(binary_words(3), max_size=6))
+def test_analyze_chain_rejects_exactly_the_steps_that_are_not_strict_drops(words):
+    steps = [compare_lex(b, a) for a, b in zip(words, words[1:])]
+    if all(r is LexRelation.STRICT_LESS for r in steps):
+        assert analyze_chain(words) == _chain_by_definition(words)
+    else:
+        n = 1 + next(n for n, r in enumerate(steps) if r is not LexRelation.STRICT_LESS)
+        with pytest.raises(NotStrictChainError, match=rf"^words\[{n}\] = "):
+            analyze_chain(words)
+
+
 @given(st.sets(binary_words(6), min_size=2, max_size=16))
 def test_analyze_chain_properties(words):
     chain = extract_strict_chain(sorted(words, reverse=True))

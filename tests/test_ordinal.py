@@ -108,6 +108,15 @@ def test_format_rejects_coefficients_beyond_the_digit_limit():
     assert issubclass(DegreeOverflowError, OrdinalRangeError)
 
 
+def test_repr_writes_coefficients_beyond_the_digit_limit():
+    big = Ordinal((10**5000, 7))
+    text = repr(big)
+    assert text.startswith("Ordinal([0x") and text.endswith(", 7])")
+    assert eval(text) == big
+    assert repr(Ordinal((4, 1, 3))) == "Ordinal([4, 1, 3])"
+    assert repr(Ordinal()) == "Ordinal([])"
+
+
 def test_comparisons():
     assert Ordinal.zero() < Ordinal.one() < W < W + 1 < W + W == parse_ordinal("w*2")
     assert parse_ordinal("w*2") < parse_ordinal("w^2") < parse_ordinal("w^2 + 1")

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import ordfa
 from machines import M_0STAR1, M_CYCLE2, M_EPS, M_ONESTAR, trim_dfas
 from ordfa.dfa import Dfa, NotTrimError, trim
 from ordfa.lexorder import NoMinimumError, min_word
-from ordfa.oracle import naive_check, random_trim_dfa
+from ordfa.oracle import exhaustive_trim_dfas, naive_check, random_trim_dfa
 from ordfa.wellorder import (
     Witness,
     build_witness,
@@ -87,6 +88,20 @@ def test_verify_witness_rejects_fabricated_witness():
     fake = Witness(access="", loop="", tail="", state=0)
     assert not verify_witness(M_ONESTAR, fake, 16)
     assert witness_failure(M_ONESTAR, fake, 16) == "chain[1] = 01 is not accepted"
+
+
+def test_replay_to_the_state_count_checks_the_whole_chain():
+    # Every witness whose access, loop and tail have at most one letter,
+    # on every automaton of at most 3 states: replay to depth
+    # state_count finds exactly what a far deeper replay finds.
+    words = ("", "0", "1")
+    cases = 0
+    for m in exhaustive_trim_dfas(3):
+        for access, loop, tail in itertools.product(words, repeat=3):
+            w = Witness(access=access, loop=loop, tail=tail, state=0)
+            assert witness_failure(m, w, m.state_count) == witness_failure(m, w, 10**6)
+            cases += 1
+    assert cases == 79_866
 
 
 def test_witness_failure_names_the_first_rejected_depth():
