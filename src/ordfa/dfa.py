@@ -9,8 +9,10 @@ input; `trim` produces it and reports what it changed.
 The facts the analyses share (which states the start reaches, which
 are live, the dead states, strong component ids) come from one
 depth-first pass, `analyze`, memoized as `Dfa.analysis`: it runs on
-first use, at most once per automaton, and is freed with it.  Nothing
-is kept across automata.
+first use, at most once per automaton, and is freed with it.  `trim`
+fills the memo of its output by relabeling the pass it ran on its
+input, so an automaton read and trimmed costs one pass in all.
+Nothing is kept across automata.
 """
 
 from __future__ import annotations
@@ -100,11 +102,26 @@ class Dfa:
     def accepts(self, word: str) -> bool:
         return self.run(self.start, word) in self.finals
 
+    @classmethod
+    def _unchecked(cls, delta, start, finals, analysis) -> Dfa:
+        """A Dfa with its analysis, built without `__post_init__`.
+
+        Only `trim` calls it: its table is already a tuple of in-range
+        int pairs and its finals a frozenset, exactly the fields a
+        checked Dfa holds, so equality and hashing agree with a checked
+        twin.
+        """
+        m = object.__new__(cls)
+        m.__dict__.update(delta=delta, start=start, finals=finals, analysis=analysis)
+        return m
+
     @property
     def analysis(self) -> Analysis:
         """The `analyze` pass, run on first access and kept in the
-        instance, so it lives as long as the automaton.  It is not a
-        field: equality and hashing ignore it."""
+        instance, so it lives as long as the automaton: at most once per
+        automaton, and never on the output of `trim`, which fills this
+        memo itself.  It is not a field: equality and hashing ignore
+        it."""
         a = self.__dict__.get("analysis")
         if a is None:
             a = self.__dict__["analysis"] = analyze(self)
@@ -277,29 +294,69 @@ def trim(m: Dfa) -> TrimReport:
     the result is the one-state sink automaton with start = sink.
     Kept states keep their relative order, so a trim automaton maps to
     itself.
+
+    The result comes with its analysis, relabeled from `m.analysis`
+    instead of computed again.  Reached live components keep their
+    emission order; every reached dead component takes the sink's id,
+    which sits where the first dead component was emitted.  This is
+    what a fresh pass on the result finds: it takes the same edges in
+    the same order, and it emits the sink the first time it touches a
+    dead state, which is when the pass on m emitted that state's whole
+    dead subtree, since dead states lead only to dead states.
     """
     a = m.analysis
-    ids, live = a.component_of, a.live
-    reach = [q for q in range(m.state_count) if ids[q] < a.reached]
-    dead = [q for q in reach if not live[q]]
-    sink_rep = dead[0] if dead else None
-    kept = [q for q in reach if live[q] or q == sink_rep]
-    sink = kept.index(sink_rep) if dead else None
-    # New index of each kept state; the other states land on the sink.
-    new_of = [sink] * m.state_count
-    for i, q in enumerate(kept):
-        new_of[q] = i
+    ids, live, reached = a.component_of, a.live, a.reached
+    dead = [q for q in a.dead if ids[q] < reached]  # ascending
+    # New id of each reached component: ids up to the first dead one
+    # stay, later dead ones join it, and later live ones close the gaps.
+    renum = list(range(reached))
+    components = reached
+    if dead:
+        dead_ids = {ids[q] for q in dead}
+        first = k = min(dead_ids)
+        for j in range(first + 1, reached):
+            if j in dead_ids:
+                renum[j] = first
+            else:
+                k += 1
+                renum[j] = k
+        components = k + 1
+    # Keep the reached live states and the least dead one, the sink, in
+    # their order; the other dead states land on the sink.
+    sink_rep = dead[0] if dead else -1
+    sink = None
+    kept, component_of = [], []
+    new_of = [-1] * len(ids)
+    for q, j in enumerate(ids):
+        if j < reached:
+            if live[q]:
+                new_of[q] = len(kept)
+            elif q == sink_rep:
+                new_of[q] = sink = len(kept)
+            else:
+                continue
+            kept.append(q)
+            component_of.append(renum[j])
+    for q in dead[1:]:
+        new_of[q] = sink
 
     # The sink's edges lead to dead states, so they become its own loops.
     delta = m.delta
-    trimmed = Dfa(
+    trimmed = Dfa._unchecked(
         delta=tuple((new_of[delta[q][0]], new_of[delta[q][1]]) for q in kept),
         start=new_of[m.start],
-        finals=frozenset(new_of[q] for q in m.finals if ids[q] < a.reached),
+        finals=frozenset(new_of[q] for q in m.finals if ids[q] < reached),
+        analysis=Analysis(
+            component_of=tuple(component_of),
+            live=tuple(i != sink for i in range(len(kept))),
+            reached=components,
+            dead=(sink,) if dead else (),
+            unreachable=0,
+        ),
     )
     return TrimReport(
         trimmed=trimmed,
-        removed_unreachable=frozenset(range(m.state_count)).difference(reach),
+        removed_unreachable=frozenset(q for q, j in enumerate(ids) if j >= reached),
         merged_into_sink=frozenset(dead[1:]),
         sink=sink,
     )

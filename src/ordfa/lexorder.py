@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import itertools
+import reprlib
 from collections.abc import Iterator, Sequence
 
 from .dfa import Dfa, validate_word
@@ -192,9 +193,10 @@ def extract_strict_chain(words: list[str]) -> list[str]:
     for i in range(len(words) - 1):
         rel = compare_lex(words[i + 1], words[i])
         if rel not in (LexRelation.PREFIX_LESS, LexRelation.STRICT_LESS):
+            # reprlib elides the middle of a long word, to keep one short line.
             raise NotDescendingError(
-                f"words[{i + 1}] = {words[i + 1]!r} does not descend below "
-                f"words[{i}] = {words[i]!r}"
+                f"words[{i + 1}] = {reprlib.repr(words[i + 1])} does not descend "
+                f"below words[{i}] = {reprlib.repr(words[i])}"
             )
     out = [words[0]]
     for w in words[1:]:
@@ -232,8 +234,8 @@ def analyze_chain(words: list[str]) -> ChainAnalysis:
         i = next((i for i, (a, b) in enumerate(zip(old, new)) if a != b), None)
         if i is None or old[i] != "1" or new[i] != "0":
             raise NotStrictChainError(
-                f"words[{n}] = {new!r} is not strictly below "
-                f"words[{n - 1}] = {old!r}"
+                f"words[{n}] = {reprlib.repr(new)} is not strictly below "
+                f"words[{n - 1}] = {reprlib.repr(old)}"
             )
         active.append((i, n))
 

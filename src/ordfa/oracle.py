@@ -2,8 +2,9 @@
 
 Everything here either recomputes a result by a route the main modules
 do not take (bounded enumeration, per-state breadth-first search,
-length-indexed counting) or drives the main and reference routes
-against each other over generated automata.
+length-indexed counting, greedy descent through exact-length tables)
+or drives the main and reference routes against each other over
+generated automata.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import itertools
 import random
 from collections import deque
 
-from .dfa import Dfa, condense, ensure_trim, trim, validate_word
+from .dfa import Dfa, analyze, condense, ensure_trim, trim, validate_word
 from .lexorder import enumerate_words
 from .ordtype import order_type, rank
 from .wellorder import CheckResult, build_witness, check, verify_witness
@@ -63,6 +64,33 @@ def naive_check(m: Dfa) -> CheckResult:
         if _reaches(m, m.delta[q][0], q) and m.delta[q][1] != snk:
             return CheckResult(False, build_witness(m, q))
     return CheckResult(True, None)
+
+
+def least_shortest_word(m: Dfa, src: int, targets) -> str | None:
+    """The lexicographically least of the shortest words from src into
+    targets, or None when targets are out of reach.
+
+    No search and no parent pointers: a table marks the states that
+    reach targets in exactly k letters, for k up to the state count
+    (a shortest word is shorter), and the word is the least such k
+    spelled greedily, taking 0 whenever a target is still reachable in
+    exactly the remaining letters after it.
+    """
+    n = m.state_count
+    exact = [[q in targets for q in range(n)]]
+    for _ in range(n):
+        prev = exact[-1]
+        exact.append([prev[a] or prev[b] for a, b in m.delta])
+    k = next((k for k, row in enumerate(exact) if row[src]), None)
+    if k is None:
+        return None
+    letters = []
+    q = src
+    for left in range(k - 1, -1, -1):
+        a, b = m.delta[q]
+        q, letter = (a, "0") if exact[left][a] else (b, "1")
+        letters.append(letter)
+    return "".join(letters)
 
 
 def _reaches(m: Dfa, src: int, dst: int) -> bool:
@@ -280,6 +308,9 @@ def _examine(m: Dfa):
     fast = check(m)
     slow = naive_check(m)
     verdict = "well-ordered" if fast.well_ordered else "not-well-ordered"
+    # The analysis check used may be one that trim handed over.
+    if m.analysis != analyze(m):
+        return verdict, checks, "analysis-disagreement"
     if (fast.well_ordered, fast.witness) != (slow.well_ordered, slow.witness):
         return verdict, checks, "check-disagreement"
     checks += 1
@@ -287,8 +318,17 @@ def _examine(m: Dfa):
     if not fast.well_ordered:
         # Replay stops at the first repeated state, which comes within
         # state_count depths, so this depth checks the whole chain.
-        if not verify_witness(m, fast.witness, m.state_count):
+        w = fast.witness
+        if not verify_witness(m, w, m.state_count):
             return verdict, checks, "witness-verification"
+        q0, q1 = m.delta[w.state]
+        least = (
+            least_shortest_word(m, m.start, {w.state}),
+            least_shortest_word(m, q0, {w.state}),
+            least_shortest_word(m, q1, m.finals),
+        )
+        if (w.access, w.loop, w.tail) != least:
+            return verdict, checks, "witness-not-least"
         checks += 1
         return verdict, checks, None
 
@@ -314,10 +354,11 @@ def _examine(m: Dfa):
 
 
 def fuzz(seeds: int, states: int, *, exhaustive: bool = False) -> FuzzReport:
-    """Differential sweep: fast check against naive check, witnesses
-    replayed to completion, and on well-ordered cases the order-type
-    invariants (height bound, component constancy, rank consistency on
-    every word of at most RANK_CHECK_LEN letters).
+    """Differential sweep: the memoized analysis against a fresh pass,
+    fast check against naive check, witnesses replayed to completion
+    and compared with the least shortest words, and on well-ordered
+    cases the order-type invariants (height bound, component constancy,
+    rank consistency on every word of at most RANK_CHECK_LEN letters).
 
     Seeded mode generates `seeds` random automata and reports one case
     per seed.  Exhaustive mode walks every trim automaton with at most

@@ -441,6 +441,15 @@ def test_long_bad_input_is_echoed_short(automaton_file, capsys):
         assert len(err) < 200
 
 
+def test_long_words_of_a_bad_chain_are_echoed_short(tmp_path, capsys):
+    path = tmp_path / "chain.txt"
+    path.write_text(("1" * 300_000 + "\n") * 2, encoding="utf-8")
+    code, out, err = run(capsys, "analyze-chain", str(path))
+    _assert_one_error_line(code, out, err, "error: words[1] = ")
+    assert "Traceback" not in err
+    assert len(err.encode()) < 300
+
+
 def test_integer_beyond_the_digit_limit_in_a_file_gives_no_python_advice(tmp_path, capsys):
     path = tmp_path / "big.json"
     path.write_text('{"start": ' + "9" * 5000 + ', "finals": [], "delta": [[0, 0]]}')

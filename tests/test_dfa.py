@@ -94,6 +94,18 @@ def test_validation():
 ###############################################################################
 
 
+def _all_tiny_automata():
+    """Every automaton with at most 3 states, any start and any finals:
+    small enough to walk, and it holds the shapes random draws miss,
+    such as a cycle of non-final states with a single exit."""
+    for n in (1, 2, 3):
+        for rows in itertools.product(itertools.product(range(n), repeat=2), repeat=n):
+            for start in range(n):
+                for mask in range(1 << n):
+                    finals = frozenset(q for q in range(n) if mask >> q & 1)
+                    yield Dfa(delta=rows, start=start, finals=finals)
+
+
 def test_trim_identity_on_trim_automaton():
     for m in FIXTURES:
         report = trim(m)
@@ -162,6 +174,45 @@ def test_trim_preserves_language(m):
 def test_trim_idempotent(m):
     t = trim(m).trimmed
     assert trim(t).trimmed == t
+
+
+def _assert_trimmed_analysis_is_exact(m):
+    t = trim(m).trimmed
+    assert "analysis" in vars(t)  # handed over, not yet computed
+    twin = Dfa(delta=t.delta, start=t.start, finals=t.finals)
+    assert t.analysis == analyze(twin)
+    # Built unchecked, with exactly the field types of its checked twin.
+    assert type(t.delta) is tuple and all(type(row) is tuple for row in t.delta)
+    assert type(t.finals) is frozenset
+    assert t == twin and hash(t) == hash(twin)
+
+
+def test_trimmed_analysis_is_exact_on_all_tiny_automata():
+    for m in _all_tiny_automata():
+        _assert_trimmed_analysis_is_exact(m)
+
+
+@settings(max_examples=200)
+@given(raw_dfas())
+def test_trimmed_analysis_is_exact(m):
+    _assert_trimmed_analysis_is_exact(m)
+
+
+def test_trimmed_analysis_puts_the_sink_where_the_first_dead_component_was():
+    # The pass emits dead {1}, live {3}, dead {4}, then live {2} and {0}:
+    # the sink takes the place of the first dead component, not the last.
+    m = Dfa(delta=[[1, 2], [1, 1], [3, 4], [3, 3], [4, 4]], start=0, finals=[3])
+    assert m.analysis.component_of == (4, 0, 3, 1, 2)
+    t = trim(m).trimmed
+    assert t.delta == ((1, 2), (1, 1), (3, 1), (3, 3))
+    assert t.analysis == dfa.Analysis(
+        component_of=(3, 0, 2, 1),
+        live=(True, False, True, True),
+        reached=4,
+        dead=(1,),
+        unreachable=0,
+    )
+    _assert_trimmed_analysis_is_exact(m)
 
 
 ###############################################################################
@@ -322,16 +373,8 @@ def test_analysis_matches_plain_searches(m):
 
 
 def test_analysis_matches_plain_searches_on_all_tiny_automata():
-    # Every automaton with at most 3 states, any start and any finals:
-    # small enough to walk, and it holds the shapes random draws miss,
-    # such as a cycle of non-final states with a single exit.
-    for n in (1, 2, 3):
-        for rows in itertools.product(itertools.product(range(n), repeat=2), repeat=n):
-            for start in range(n):
-                for mask in range(1 << n):
-                    finals = frozenset(q for q in range(n) if mask >> q & 1)
-                    m = Dfa(delta=rows, start=start, finals=finals)
-                    _assert_analysis_matches_plain_searches(m)
+    for m in _all_tiny_automata():
+        _assert_analysis_matches_plain_searches(m)
 
 
 ###############################################################################
@@ -356,25 +399,29 @@ def test_analysis_is_freed_with_its_automaton():
     assert ref() is None  # freed by reference counting, no collection needed
 
 
-def test_tarjan_runs_once_per_automaton(monkeypatch):
+def test_tarjan_runs_once_per_input(monkeypatch):
     # Built first: synth's trims run the analysis on their own inputs.
-    m = _fresh_automaton("w^4*2 + w^2*6 + 9")
+    made = _fresh_automaton("w^4*2 + w^2*6 + 9")
+    # The same automaton with one unreachable state: raw input to trim.
+    raw = Dfa(delta=made.delta + ((0, 0),), start=made.start, finals=made.finals)
     runs = []
     tarjan = dfa.analyze
 
     def counting(m):
-        runs.append(m.state_count)
+        runs.append(m)
         return tarjan(m)
 
     # Every module that bound the function by name, so no call escapes.
     for module in (dfa, wellorder, ordtype, lexorder, oracle):
         if getattr(module, "analyze", None) is tarjan:
             monkeypatch.setattr(module, "analyze", counting)
-    wellorder.check(m)
-    ordtype.order_type(m)
-    ordtype.rank(m, "0")
-    ordtype.rank(m, "1")
-    assert len(runs) == 1
+    for m in (trim(raw).trimmed, made):
+        wellorder.check(m)
+        ordtype.order_type(m)
+        ordtype.rank(m, "0")
+        ordtype.rank(m, "1")
+    # trim's one pass on raw; its output, and synth's, inherit theirs.
+    assert runs == [raw]
 
 
 def test_memos_leave_equality_and_hash_alone():

@@ -296,6 +296,18 @@ def test_analyze_chain_short():
     )
 
 
+def test_bad_chain_messages_elide_long_words():
+    long = "1" * 300_000
+    for fn, error in (
+        (extract_strict_chain, NotDescendingError),
+        (analyze_chain, NotStrictChainError),
+    ):
+        with pytest.raises(error) as info:
+            fn([long, long])
+        assert str(info.value).startswith("words[1] = '1111")
+        assert len(str(info.value)) < 200
+
+
 def test_analyze_chain_rejects_prefix_steps():
     with pytest.raises(NotStrictChainError):
         analyze_chain(["01", "0"])

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 
 from machines import M_0STAR1, M_CYCLE2, M_EPS, M_ONESTAR, all_words, raw_dfas
-from ordfa.dfa import Dfa, is_trim, trim
+from ordfa import oracle
+from ordfa.dfa import Dfa, analyze, is_trim, shortest_word, trim
 from ordfa.oracle import (
     BoundTooLargeError,
     FuzzCase,
@@ -15,10 +16,11 @@ from ordfa.oracle import (
     enum_bounded,
     exhaustive_trim_dfas,
     fuzz,
+    least_shortest_word,
     naive_check,
     random_trim_dfa,
 )
-from ordfa.wellorder import check
+from ordfa.wellorder import CheckResult, Witness, check
 
 ###############################################################################
 # enum_bounded
@@ -51,6 +53,42 @@ def test_naive_check_fixtures():
     result = naive_check(M_0STAR1)
     assert not result.well_ordered
     assert result == check(M_0STAR1)
+
+
+###############################################################################
+# least_shortest_word
+###############################################################################
+
+
+def _first_word_by_length(m, src, targets):
+    """The first word into targets when words are listed by length,
+    then lexicographically: the literal definition."""
+    return next(
+        (w for w in all_words(m.state_count) if m.run(src, w) in targets), None
+    )
+
+
+@settings(max_examples=100)
+@given(raw_dfas(max_states=5))
+def test_least_shortest_word_matches_its_definition(m):
+    for src in range(m.state_count):
+        for targets in [*({q} for q in range(m.state_count)), m.finals]:
+            assert least_shortest_word(m, src, targets) == _first_word_by_length(m, src, targets)
+
+
+def test_shortest_word_is_the_least_shortest_word_exhaustively():
+    for m in exhaustive_trim_dfas(3):
+        for src in range(m.state_count):
+            for targets in [*({q} for q in range(m.state_count)), m.finals]:
+                assert shortest_word(m, src, targets) == least_shortest_word(m, src, targets)
+
+
+def test_least_shortest_word_examples():
+    # Both 00 and 11 reach state 3 in two letters; 00 is the least.
+    m = Dfa(delta=((1, 2), (3, 0), (0, 3), (3, 3)), start=0, finals=frozenset({3}))
+    assert least_shortest_word(m, 0, {3}) == "00"
+    assert least_shortest_word(m, 3, {3}) == ""
+    assert least_shortest_word(m, 3, {0}) is None
 
 
 ###############################################################################
@@ -210,6 +248,22 @@ def test_fuzz_single_case():
         first_failure=None,
     )
     assert case.checks_passed >= 2
+
+
+def test_examine_flags_an_analysis_that_a_fresh_pass_does_not_find():
+    m = trim(M_0STAR1).trimmed
+    vars(m)["analysis"] = analyze(m)._replace(reached=m.analysis.reached + 1)
+    assert _examine(m) == ("not-well-ordered", 0, "analysis-disagreement")
+
+
+def test_examine_flags_a_witness_that_is_not_least(monkeypatch):
+    # 0*1 fails at its start: the least witness is access "", loop "",
+    # tail "".  The chain 00 (00)^n 1 replays just as well.
+    assert check(M_0STAR1).witness == Witness(access="", loop="", tail="", state=0)
+    longer = CheckResult(False, Witness(access="00", loop="", tail="", state=0))
+    monkeypatch.setattr(oracle, "check", lambda m: longer)
+    monkeypatch.setattr(oracle, "naive_check", lambda m: longer)
+    assert _examine(M_0STAR1) == ("not-well-ordered", 1, "witness-not-least")
 
 
 @pytest.mark.parametrize(
