@@ -9,10 +9,11 @@ and the first few words of the language in order.
 """
 
 import argparse
+import reprlib
 import sys
 
 from ordfa.lexorder import enumerate_words
-from ordfa.ordinal import format_ordinal, parse_ordinal
+from ordfa.ordinal import DegreeOverflowError, OrdinalParseError, format_ordinal, parse_ordinal
 from ordfa.ordtype import order_type
 from ordfa.synth import synth
 
@@ -27,19 +28,29 @@ def main() -> int:
     ap.add_argument("ordinals", nargs="*", default=SHOWCASE, metavar="ORDINAL")
     ap.add_argument("--words", type=int, default=6, help="words to enumerate")
     args = ap.parse_args()
+    if args.words < 0:
+        ap.error(f"--words must be at least 0, got {args.words}")
+    ordinals = []
+    for text in args.ordinals:
+        try:
+            ordinals.append(parse_ordinal(text))
+        except (OrdinalParseError, DegreeOverflowError) as e:
+            # reprlib elides the middle of a long input, to keep one short line.
+            print(f"error: bad ordinal {reprlib.repr(text)}: {e}", file=sys.stderr)
+            return 2
 
     width = max(len(text) for text in args.ordinals)
     failures = 0
-    for text in args.ordinals:
-        a = parse_ordinal(text)
+    for text, a in zip(args.ordinals, ordinals):
         m = synth(a)
         back = order_type(m).overall
         if back != a:
             failures += 1
         words = enumerate_words(m, args.words)
-        listing = ", ".join(w if w else "(eps)" for w in words) or "(empty)"
-        if len(words) == args.words:
-            listing += ", ..."
+        shown = [w if w else "(eps)" for w in words]
+        if not back.is_zero and len(words) == args.words:
+            shown.append("...")
+        listing = ", ".join(shown) if shown else "(empty)"
         mark = "ok" if back == a else "MISMATCH"
         print(
             f"{text:<{width}}  states={m.state_count:<3} "

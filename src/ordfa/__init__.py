@@ -1,7 +1,7 @@
 """Well-ordering analysis and ordinal order types for binary DFAs."""
 
 from .dfa import Dfa, Condensation, TrimReport, condense, from_json, is_trim, load
-from .dfa import dump, loop_word, sink_of, to_json, trim
+from .dfa import dump, sink_of, to_json, trim
 from .lexorder import (
     ChainAnalysis,
     LexRelation,
@@ -42,7 +42,6 @@ __all__ = [
     "is_trim",
     "iter_words",
     "load",
-    "loop_word",
     "min_word",
     "order_type",
     "parse_ordinal",

@@ -123,10 +123,12 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_enum(args) -> int:
+    if args.count < 0:
+        raise InputError(f"--count must be at least 0, got {args.count}")
     m = _load_trimmed(args.file)
     # Each word is printed as it is found, so a reader that stops early
     # stops the walk.
-    for w in itertools.islice(lexorder.iter_words(m), max(args.count, 0)):
+    for w in itertools.islice(lexorder.iter_words(m), args.count):
         print(_fmt_word(w))
     return EXIT_OK
 
@@ -251,9 +253,10 @@ def render_dot(m: dfa.Dfa) -> str:
 def _cmd_fuzz(args) -> int:
     if args.states < 1:
         raise InputError(f"--states must be at least 1, got {args.states}")
-    if args.seeds < 0:
-        raise InputError(f"--seeds must be at least 0, got {args.seeds}")
-    report = oracle.fuzz(args.seeds, args.states, exhaustive=args.exhaustive)
+    seeds = 100 if args.seeds is None else args.seeds
+    if seeds < 0:
+        raise InputError(f"--seeds must be at least 0, got {seeds}")
+    report = oracle.fuzz(seeds, args.states, exhaustive=args.exhaustive)
     sys.stdout.write(report.to_tsv())
     return EXIT_OK if report.ok else EXIT_FUZZ_FAILED
 
@@ -327,10 +330,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=_cmd_dot)
 
     s = sub.add_parser("fuzz", help="differential sweep against the oracles")
-    s.add_argument("--seeds", type=int, default=100)
     s.add_argument("--states", type=int, default=6)
-    s.add_argument("--exhaustive", action="store_true",
-                   help="walk all trim automata up to --states states")
+    # argparse ignores an option whose value is its default object (and
+    # small ints are cached), so --seeds defaults to None: that way
+    # "--seeds 100 --exhaustive" is rejected too.
+    mode = s.add_mutually_exclusive_group()
+    mode.add_argument("--seeds", type=int, help="random automata (default 100)")
+    mode.add_argument("--exhaustive", action="store_true",
+                      help="walk all trim automata up to --states states")
     s.set_defaults(fn=_cmd_fuzz)
 
     s = sub.add_parser("embed", help="embed a ternary word into binary")
@@ -358,7 +365,7 @@ def _run(argv) -> int:
         where = f"{args.file}: " if hasattr(args, "file") else ""
         print(f"error: {where}order type out of range: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except (InputError, dfa.NotTrimError, dfa.NotSimpleCycleError) as e:
+    except (InputError, dfa.NotTrimError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -35,10 +35,6 @@ class MultipleSinksError(NotTrimError):
     """More than one state has empty language."""
 
 
-class NotSimpleCycleError(Exception):
-    """A strong component expected to be a simple cycle is not one."""
-
-
 _BIT = {"0": 0, "1": 1}
 # str.translate table that deletes both letters: what is left is bad.
 _DROP_BITS = str.maketrans("", "", "01")
@@ -400,36 +396,6 @@ def condense(m: Dfa) -> Condensation:
         components=tuple(map(tuple, components)),
         height_of=tuple(heights[j] for j in ids),
     )
-
-
-def loop_word(m: Dfa, q: int) -> str:
-    """Shortest nonempty word sending recursive q back to itself.
-
-    Requires q's strong component to be a simple cycle: every state in
-    it must have exactly one in-component outgoing edge.  That holds for
-    every automaton that passes the well-order check.  Only the states
-    on the walk from q are checked: when each has one such edge, the
-    walk is a cycle through q, and no other state can share a strong
-    component with it.
-    """
-    ids = m.analysis.component_of
-    cid = ids[q]
-    letters = []
-    s = q
-    for _ in range(m.state_count):
-        inside = [b for b in (0, 1) if ids[m.delta[s][b]] == cid]
-        if not inside and s == q:
-            raise ValueError(f"state {q} is not recursive")
-        if len(inside) != 1:
-            raise NotSimpleCycleError(
-                f"state {s} has {len(inside)} in-component edges; "
-                "its component is not a simple cycle"
-            )
-        letters.append("01"[inside[0]])
-        s = m.delta[s][inside[0]]
-        if s == q:
-            return "".join(letters)
-    raise NotSimpleCycleError(f"walk from state {q} did not close into a cycle")
 
 
 def shortest_word(m: Dfa, src: int, targets: frozenset[int] | set[int]) -> str | None:

@@ -4,10 +4,13 @@ Every state's language gets an ordinal below w^w, computed bottom-up
 over the strong components.  The sink is 0.  A non-recursive state q
 contributes [q final] + type(q.0) + type(q.1), matching the split of
 its language into the empty word, the 0-branch and the 1-branch.  A
-recursive state's language splits into laps of its cycle, and one lap
-has the type that `rank` gives its loop word: the acceptance of each
-prefix walked so far plus the type of the 0-exit wherever the cycle
-reads a 1.  The full language is that lap type times w.
+recursive state's language splits into laps of its cycle, so its type
+is lap*w = w^(deg lap + 1): only the lap's degree matters.  A lap's
+type is the rank formula along the cycle, one for each final state
+passed plus the type of the 0-exit wherever the cycle reads a 1.
+Where a passing cycle reads a 0, its 1-exit is the sink (type 0).  So
+the lap's degree is d, the largest degree among the types of the
+cycle's exits, and the state's type is w^(1 + d).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 from collections.abc import Sequence
 
-from .dfa import Dfa, loop_word, sink_of, validate_word
+from .dfa import Dfa, sink_of, validate_word
 from .ordinal import Ordinal
 from .wellorder import Witness, check
 
@@ -81,6 +84,7 @@ def order_type(m: Dfa) -> OrderTypeTable:
     result = check(m)
     if not result.well_ordered:
         raise NotWellOrderedError(result.witness)
+    delta = m.delta
     snk = sink_of(m)
     ids = m.analysis.component_of
     types: list[Ordinal | None] = [None] * m.state_count
@@ -89,18 +93,29 @@ def order_type(m: Dfa) -> OrderTypeTable:
     # component id, so in id order each exit's type is already known,
     # and the states of one component come one after another.
     for q in sorted(range(m.state_count), key=ids.__getitem__):
-        a, b = m.delta[q]
-        if prev is not None and ids[prev] == ids[q]:
-            # A passing cycle is simple, and every rotation of a lap has
-            # the same degree, so one lap types the whole component.
+        a, b = delta[q]
+        cid = ids[q]
+        if prev is not None and ids[prev] == cid:
+            # Every rotation of a lap passes the same exits, so one
+            # type serves the whole component.
             t = types[prev]
         elif q == snk:
             t = Ordinal.zero()
-        elif ids[a] == ids[q] or ids[b] == ids[q]:  # q lies on a cycle
-            lap = _walk(m, q, loop_word(m, q), types)
-            if lap.is_zero:
-                raise RuntimeError(f"live recursive state {q} has a lap of type 0")
-            t = lap.times_omega()
+        elif ids[a] == cid or ids[b] == cid:  # q lies on a cycle
+            # A passing cycle is simple: walk its one in-component edge
+            # per state back to q, keeping the largest exit degree, which
+            # is the lap's degree (see the module docstring).
+            d = 0
+            s = q
+            for _ in range(m.state_count):
+                s0, s1 = delta[s]
+                s, x = (s1, s0) if ids[s1] == cid else (s0, s1)
+                d = max(d, types[x].degree)
+                if s == q:
+                    break
+            else:
+                raise RuntimeError(f"the walk from state {q} did not close into a cycle")
+            t = Ordinal.omega_power(1 + d)
         else:
             t = types[a] + types[b]
             if q in m.finals:

@@ -192,6 +192,14 @@ def test_enum_prints_eps(automaton_file, capsys):
     assert out == "(eps)\n"
 
 
+def test_enum_rejects_a_negative_count(automaton_file, capsys):
+    path = automaton_file(M_CYCLE2)
+    code, out, err = run(capsys, "enum", path, "-n", "-3")
+    assert (code, out) == (2, "")
+    assert err == "error: --count must be at least 0, got -3\n"
+    assert run(capsys, "enum", path, "-n", "0") == (0, "", "")
+
+
 def test_enum_no_minimum(automaton_file, capsys):
     code, out, _ = run(capsys, "enum", automaton_file(M_0STAR1), "-n", "3")
     assert code == 3
@@ -321,9 +329,19 @@ def test_fuzz_rejects_bad_counts(capsys):
     assert err == "error: --seeds must be at least 0, got -1\n"
 
 
-def _run_fuzz_sweep(*argv):
+@pytest.mark.parametrize(
+    "argv", [("--exhaustive", "--seeds", "5"), ("--seeds", "100", "--exhaustive")]
+)
+def test_fuzz_seeds_and_exhaustive_exclude_each_other(capsys, argv):
+    code, out, err = run(capsys, "fuzz", *argv)
+    assert (code, out) == (2, "")
+    assert "not allowed with argument" in err
+    assert "Traceback" not in err
+
+
+def _run_script(name, *argv):
     src = os.path.dirname(os.path.dirname(ordfa.__file__))
-    script = os.path.join(os.path.dirname(src), "scripts", "fuzz_sweep.py")
+    script = os.path.join(os.path.dirname(src), "scripts", name)
     return subprocess.run(
         [sys.executable, script, *argv],
         env={**os.environ, "PYTHONPATH": src},
@@ -340,7 +358,7 @@ def test_fuzz_has_no_strength_knobs(capsys, flag, value):
     code, out, err = run(capsys, "fuzz", flag, value)
     assert (code, out) == (2, "")
     assert f"unrecognized arguments: {flag} {value}" in err
-    child = _run_fuzz_sweep(flag, value)
+    child = _run_script("fuzz_sweep.py", flag, value)
     assert (child.returncode, child.stdout) == (2, "")
     assert f"unrecognized arguments: {flag} {value}" in child.stderr
     assert "Traceback" not in child.stderr
@@ -354,9 +372,34 @@ def test_fuzz_has_no_strength_knobs(capsys, flag, value):
     ],
 )
 def test_fuzz_sweep_script_rejects_counts_that_sweep_nothing(argv, message):
-    child = _run_fuzz_sweep(*argv)
+    child = _run_script("fuzz_sweep.py", *argv)
     assert (child.returncode, child.stdout) == (2, "")
     assert child.stderr.endswith(f"error: {message}\n")
+    assert "Traceback" not in child.stderr
+
+
+def test_roundtrip_script_rejects_a_bad_ordinal():
+    child = _run_script("ordinal_roundtrip.py", "w", "w^^2")
+    assert (child.returncode, child.stdout) == (2, "")
+    assert child.stderr == "error: bad ordinal 'w^^2': expected an integer (at position 2)\n"
+    child = _run_script("ordinal_roundtrip.py", "9" * 5000)
+    assert (child.returncode, child.stdout) == (2, "")
+    assert child.stderr.startswith("error: bad ordinal '999")
+    assert len(child.stderr.splitlines()) == 1 and len(child.stderr) < 200
+
+
+def test_roundtrip_script_lists_empty_only_for_the_empty_language():
+    child = _run_script("ordinal_roundtrip.py", "--words", "0", "w", "0")
+    assert child.returncode == 0, child.stderr
+    rows = child.stdout.splitlines()
+    assert rows[0].endswith(" ok  ...")
+    assert rows[1].endswith(" ok  (empty)")
+
+
+def test_roundtrip_script_rejects_a_negative_word_count():
+    child = _run_script("ordinal_roundtrip.py", "--words", "-1", "w")
+    assert (child.returncode, child.stdout) == (2, "")
+    assert child.stderr.endswith("error: --words must be at least 0, got -1\n")
     assert "Traceback" not in child.stderr
 
 

@@ -11,12 +11,10 @@ from ordfa.dfa import (
     Dfa,
     DfaFormatError,
     MultipleSinksError,
-    NotSimpleCycleError,
     analyze,
     condense,
     from_json,
     is_trim,
-    loop_word,
     shortest_word,
     sink_of,
     to_json,
@@ -434,7 +432,7 @@ def test_memos_leave_equality_and_hash_alone():
 
 
 ###############################################################################
-# sink_of / loop_word
+# sink_of
 ###############################################################################
 
 
@@ -448,23 +446,6 @@ def test_sink_of_multiple_sinks():
     m = Dfa(delta=((1, 2), (1, 1), (2, 2)), start=0, finals=frozenset())
     with pytest.raises(MultipleSinksError):
         sink_of(m)
-
-
-def test_loop_word_examples():
-    assert loop_word(M_CYCLE2, 0) == "01"
-    assert loop_word(M_CYCLE2, 1) == "10"
-    assert loop_word(M_ONESTAR, 0) == "1"
-
-
-def test_loop_word_not_simple_cycle():
-    m = Dfa(delta=((0, 0),), start=0, finals=frozenset({0}))
-    with pytest.raises(NotSimpleCycleError):
-        loop_word(m, 0)
-
-
-def test_loop_word_rejects_non_recursive():
-    with pytest.raises(ValueError):
-        loop_word(M_CYCLE2, 2)
 
 
 def test_shortest_word_prefers_zero():

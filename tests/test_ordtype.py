@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from machines import M_0STAR1, M_CYCLE2, M_EPS, M_ONESTAR, all_words, binary_words, trim_dfas
-from ordfa.dfa import Dfa, condense, loop_word
+from ordfa.dfa import Dfa, condense
 from ordfa.lexorder import min_word, successor
 from ordfa.oracle import enum_bounded, exhaustive_trim_dfas, random_trim_dfa
 from ordfa.ordinal import Ordinal, parse_ordinal
@@ -35,6 +35,21 @@ def test_order_type_cycle2():
     table = order_type(M_CYCLE2)
     assert table.per_state == (W, W, Ordinal.one(), Ordinal.zero())
     assert table.overall == W
+
+
+@pytest.mark.parametrize("start", [4, 5])
+def test_cycle_takes_its_largest_exit_degree(start):
+    # The cycle 4 -1-> 5 -1-> 4 exits at 4 into 3 (type w^2) and at 5
+    # into 2 (type w), so its lap has degree 2 whichever state it is
+    # walked from, and its type is w^3, not w^2.
+    m = Dfa(
+        delta=((0, 0), (0, 0), (1, 2), (2, 3), (3, 5), (2, 4)),
+        start=start,
+        finals=frozenset({1}),
+    )
+    table = order_type(m)
+    assert table.per_state[2:] == (W, parse_ordinal("w^2"), *[parse_ordinal("w^3")] * 2)
+    assert table.overall == parse_ordinal("w^3")
 
 
 def test_order_type_finite_language():
@@ -366,15 +381,23 @@ def test_recursive_states_have_infinite_types(m):
             if t.is_zero:
                 continue  # the sink's self loop
             assert not t.is_finite
-            # The lap from q: accepted prefixes plus each 1-position's
-            # 0-exit.  Every rotation must give the same type.
+            # The lap from q, walked around the cycle: accepted prefixes
+            # plus each 1-position's 0-exit.  Every rotation must give
+            # the same type.
             lap = Ordinal.zero()
             s = q
-            for ch in loop_word(m, q):
+            for _ in range(m.state_count):
                 if s in m.finals:
                     lap = lap + 1
-                if ch == "1":
-                    lap = lap + types[m.delta[s][0]]
-                s = m.step(s, ch)
+                on0, on1 = m.delta[s]
+                if ids[on0] == ids[q]:
+                    s = on0
+                else:
+                    lap = lap + types[on0]
+                    s = on1
+                if s == q:
+                    break
+            else:
+                pytest.fail(f"the walk from state {q} did not close")
             assert lap.times_omega() == t
             assert lap.degree + 1 == t.degree
