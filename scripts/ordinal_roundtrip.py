@@ -46,9 +46,10 @@ def main() -> int:
         back = order_type(m).overall
         if back != a:
             failures += 1
-        words = enumerate_words(m, args.words)
-        shown = [w if w else "(eps)" for w in words]
-        if not back.is_zero and len(words) == args.words:
+        # One word beyond the count tells whether the listing goes on.
+        words = enumerate_words(m, args.words + 1)
+        shown = [w if w else "(eps)" for w in words[: args.words]]
+        if len(words) > args.words:
             shown.append("...")
         listing = ", ".join(shown) if shown else "(empty)"
         mark = "ok" if back == a else "MISMATCH"

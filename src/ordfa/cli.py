@@ -19,7 +19,7 @@ import os
 import reprlib
 import sys
 
-from . import dfa, lexorder, oracle, ordinal, ordtype, wellorder
+from . import dfa, lexorder, ordinal, ordtype, wellorder
 from .synth import synth as synthesize
 
 EXIT_OK = 0
@@ -94,15 +94,18 @@ def _cmd_check(args) -> int:
 
 def _cmd_ordtype(args) -> int:
     m = _load_trimmed(args.file)
-    # Heights before types: the height pass's temporaries are the peak
-    # of memory, and they are freed before the types are built.
+    # Heights before types, so the two passes' peaks do not add up.
+    # The height pass holds only the masks its frontier still needs
+    # (see `dfa.condense`).
     cond = dfa.condense(m) if args.table else None
     table = ordtype.order_type(m)
     print(ordinal.format_ordinal(table.overall))
     if cond is not None:
-        print("state\theight\tordinal")
-        for q in range(m.state_count):
-            print(f"{q}\t{cond.height_of[q]}\t{table.per_state[q]}")
+        fmt = ordinal.format_ordinal
+        sys.stdout.write("state\theight\tordinal\n" + "".join([
+            f"{q}\t{h}\t{fmt(t)}\n"
+            for q, (h, t) in enumerate(zip(cond.height_of, table.per_state))
+        ]))
     return EXIT_OK
 
 
@@ -256,6 +259,9 @@ def _cmd_fuzz(args) -> int:
     seeds = 100 if args.seeds is None else args.seeds
     if seeds < 0:
         raise InputError(f"--seeds must be at least 0, got {seeds}")
+    # Imported here: no other command needs the oracles.
+    from . import oracle
+
     report = oracle.fuzz(seeds, args.states, exhaustive=args.exhaustive)
     sys.stdout.write(report.to_tsv())
     return EXIT_OK if report.ok else EXIT_FUZZ_FAILED

@@ -102,10 +102,10 @@ class Dfa:
     def _unchecked(cls, delta, start, finals, analysis) -> Dfa:
         """A Dfa with its analysis, built without `__post_init__`.
 
-        Only `trim` calls it: its table is already a tuple of in-range
-        int pairs and its finals a frozenset, exactly the fields a
-        checked Dfa holds, so equality and hashing agree with a checked
-        twin.
+        Only `trim` calls it, with a table of in-range int pairs (built
+        by it, or taken from a checked Dfa) as a tuple and finals as a
+        frozenset, exactly the fields a checked Dfa holds, so equality
+        and hashing agree with a checked twin.
         """
         m = object.__new__(cls)
         m.__dict__.update(delta=delta, start=start, finals=finals, analysis=analysis)
@@ -299,8 +299,18 @@ def trim(m: Dfa) -> TrimReport:
     the same order, and it emits the sink the first time it touches a
     dead state, which is when the pass on m emitted that state's whole
     dead subtree, since dead states lead only to dead states.
+
+    A trim m maps to itself, so then the result is a new Dfa holding
+    m's own table, finals and analysis, with nothing removed or merged.
     """
     a = m.analysis
+    if is_trim(m):
+        return TrimReport(
+            trimmed=Dfa._unchecked(m.delta, m.start, m.finals, a),
+            removed_unreachable=frozenset(),
+            merged_into_sink=frozenset(),
+            sink=sink_of(m),
+        )
     ids, live, reached = a.component_of, a.live, a.reached
     dead = [q for q in a.dead if ids[q] < reached]  # ascending
     # New id of each reached component: ids up to the first dead one
@@ -339,7 +349,7 @@ def trim(m: Dfa) -> TrimReport:
     # The sink's edges lead to dead states, so they become its own loops.
     delta = m.delta
     trimmed = Dfa._unchecked(
-        delta=tuple((new_of[delta[q][0]], new_of[delta[q][1]]) for q in kept),
+        delta=tuple([(new_of[s0], new_of[s1]) for s0, s1 in map(delta.__getitem__, kept)]),
         start=new_of[m.start],
         finals=frozenset(new_of[q] for q in m.finals if ids[q] < reached),
         analysis=Analysis(
@@ -373,16 +383,36 @@ class Condensation:
 
 
 def condense(m: Dfa) -> Condensation:
-    """Condensation of m, built on the component ids of `m.analysis`."""
+    """Condensation of m, built on the component ids of `m.analysis`.
+
+    Heights come from strictly-below sets kept as bitmasks over the c
+    component ids, which takes time quadratic in c on a chain.  A
+    component's mask is dropped once the last component with an edge
+    into it has read it.  So while id j is built, the masks held are
+    those of the smaller ids with an edge from id j or above, each of
+    at most c bits, instead of all c of them.  On a chain the only
+    large mask held is the one just built.
+    """
     delta = m.delta
     ids = m.analysis.component_of
-    components: list[list[int]] = [[] for _ in range(max(ids) + 1)]
+    count = max(ids) + 1
+    components: list[list[int]] = [[] for _ in range(count)]
     for q, j in enumerate(ids):
         components[j].append(q)  # ascending, since q ascends
 
-    # Strictly-below sets as bitmasks over component ids.  Transitions
-    # out of a component lead to smaller ids, whose sets are done.
+    # last[j] is the largest id with an edge into j: the last reader of
+    # j's mask, since ids are read in ascending order.
+    last = [0] * count
+    for j, comp in enumerate(components):
+        for q in comp:
+            a, b = delta[q]
+            last[ids[a]] = last[ids[b]] = j
+
+    # Transitions out of a component lead to smaller ids, whose masks
+    # are done.  The last reader frees a mask; a later edge from the
+    # same component reads 0, which its mask already covers.
     below: list[int] = []
+    heights: list[int] = []
     for j, comp in enumerate(components):
         mask = 0
         for q in comp:
@@ -390,8 +420,10 @@ def condense(m: Dfa) -> Condensation:
                 jt = ids[t]
                 if jt != j:
                     mask |= (1 << jt) | below[jt]
-        below.append(mask)
-    heights = [b.bit_count() for b in below]
+                    if last[jt] == j:
+                        below[jt] = 0
+        heights.append(mask.bit_count())
+        below.append(mask if last[j] > j else 0)
     return Condensation(
         components=tuple(map(tuple, components)),
         height_of=tuple(heights[j] for j in ids),
@@ -467,12 +499,19 @@ def from_json(text: str) -> Dfa:
 
 
 def to_json(m: Dfa) -> str:
-    doc = {
-        "start": m.start,
-        "finals": sorted(m.finals),
-        "delta": [list(row) for row in m.delta],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The file format of `from_json`: byte for byte the text of
+    `json.dumps(doc, indent=2) + "\n"`, written without the pure-Python
+    encoder that `indent` selects."""
+    finals = sorted(m.finals)
+    if finals:
+        finals_text = "[\n    " + ",\n    ".join(map(str, finals)) + "\n  ]"
+    else:
+        finals_text = "[]"
+    rows = ",\n".join([f"    [\n      {a},\n      {b}\n    ]" for a, b in m.delta])
+    return (
+        f'{{\n  "start": {m.start},\n  "finals": {finals_text},\n'
+        f'  "delta": [\n{rows}\n  ]\n}}\n'
+    )
 
 
 def load(path: str) -> Dfa:

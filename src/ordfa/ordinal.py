@@ -194,29 +194,42 @@ def _coerce(other):
     return NotImplemented
 
 
+def _writable(c: int) -> bool:
+    """Whether Python's int/str digit limit lets c be written in decimal."""
+    try:
+        str(c)
+    except ValueError:
+        return False
+    return True
+
+
 def _digit_limit() -> str:
     return f"{sys.get_int_max_str_digits():,} digits, Python's int/str limit"
+
+
+# The text of w^k, indexed by the exponent k from 1 up to MAX_DEGREE.
+_POWERS = ("", "w", *(f"w^{k}" for k in range(2, MAX_DEGREE + 1)))
 
 
 def format_ordinal(o: Ordinal) -> str:
     """Canonical text: terms by descending exponent, e.g. "w^2*3 + w + 4".
 
     Raises OrdinalRangeError when a coefficient has more digits than the
-    int/str limit lets Python write."""
-    if o.is_zero:
+    int/str limit lets Python write; it names the highest such exponent."""
+    cs = o._coeffs
+    if not cs:
         return "0"
-    parts = []
     try:
-        for k in range(len(o.coeffs) - 1, -1, -1):
-            c = o.coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            else:
-                base = "w" if k == 1 else f"w^{k}"
-                parts.append(base if c == 1 else f"{base}*{c}")
+        parts = [
+            f"{_POWERS[k]}*{c}" if c != 1 else _POWERS[k]
+            for k, c in enumerate(cs[1:], 1)
+            if c
+        ]
+        parts.reverse()
+        if cs[0]:
+            parts.append(str(cs[0]))
     except ValueError:  # only writing a coefficient can fail
+        k = max(k for k, c in enumerate(cs) if not _writable(c))
         raise OrdinalRangeError(
             f"the coefficient of w^{k} has more than {_digit_limit()}"
         ) from None

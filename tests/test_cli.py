@@ -396,6 +396,15 @@ def test_roundtrip_script_lists_empty_only_for_the_empty_language():
     assert rows[1].endswith(" ok  (empty)")
 
 
+def test_roundtrip_script_ends_a_listing_with_dots_only_when_words_remain():
+    child = _run_script("ordinal_roundtrip.py", "--words", "5", "5", "6", "4")
+    assert child.returncode == 0, child.stderr
+    rows = child.stdout.splitlines()
+    assert rows[0].endswith(" ok  000, 001, 010, 011, 100")
+    assert rows[1].endswith(" ok  000, 001, 010, 011, 100, ...")
+    assert rows[2].endswith(" ok  00, 01, 10, 11")
+
+
 def test_roundtrip_script_rejects_a_negative_word_count():
     child = _run_script("ordinal_roundtrip.py", "--words", "-1", "w")
     assert (child.returncode, child.stdout) == (2, "")

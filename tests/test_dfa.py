@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 import weakref
 
 import pytest
@@ -111,6 +112,17 @@ def test_trim_identity_on_trim_automaton():
         assert report.removed_unreachable == frozenset()
         assert report.merged_into_sink == frozenset()
         assert report.sink == sink_of(m)
+
+
+def test_trim_of_a_trim_automaton_is_a_new_automaton_with_its_own_memo():
+    for m in FIXTURES:
+        a = m.analysis
+        out = trim(m).trimmed
+        assert out == m and hash(out) == hash(m)
+        assert out is not m
+        # The output's memo is its own: writing it leaves m's alone.
+        vars(out)["analysis"] = a._replace(reached=a.reached + 1)
+        assert m.analysis is a and a == analyze(m)
 
 
 def test_trim_merges_two_dead_states():
@@ -333,6 +345,47 @@ def test_condense_keeps_the_analysis_numbering(m):
     _assert_condense_keeps_the_analysis_numbering(m)
 
 
+def test_condense_gives_each_reader_of_a_component_its_whole_mask():
+    # States 2 and 3 both lead only into the cycle {1}, which leads to
+    # the sink 0, and neither reaches the other: the one read second
+    # learns of the sink only through the cycle's mask.
+    for start in (2, 3):
+        m = Dfa(delta=((0, 0), (1, 0), (1, 1), (1, 1)), start=start, finals=frozenset({1}))
+        assert condense(m).height_of == (0, 1, 2, 2)
+        _assert_condense_keeps_the_analysis_numbering(m)
+
+
+def _chain(k):
+    """{0^k, 1}: state i reads 0 to i + 1 up to the final state k, the
+    start reads 1 to the final state k + 1, and k + 2 is the sink.
+    Tarjan's pass emits k + 3 single-state components."""
+    sink = k + 2
+    delta = [(i + 1, sink) for i in range(k)]
+    delta[0] = (1, k + 1)
+    delta += [(sink, sink)] * 3
+    return Dfa(delta=tuple(delta), start=0, finals=frozenset({k, k + 1}))
+
+
+def test_condense_frees_each_mask_after_its_last_reader():
+    _assert_condense_keeps_the_analysis_numbering(_chain(60))
+    peaks = []
+    for k in (4000, 8000):
+        m = _chain(k)
+        m.analysis  # the pass is not part of the peak measured
+        tracemalloc.start()
+        try:
+            c = condense(m)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        # Below state i < k lie i + 1, ..., k and the sink; below the
+        # start, all the other states; below k and k + 1, the sink.
+        assert c.height_of == (k + 2, *range(k, 0, -1), 1, 0)
+    # Linear memory doubles with k.  Masks kept to the end hold k^2 / 2
+    # bits, and they bring the ratio to 3 at these sizes.
+    assert peaks[1] / peaks[0] < 2.5, peaks
+
+
 ###############################################################################
 # analyze
 ###############################################################################
@@ -471,6 +524,33 @@ def test_json_writer_shape():
         "    [\n      1,\n      1\n    ],\n    [\n      1,\n      1\n    ]\n  ]\n}\n"
     )
     assert list(json.loads(text)) == ["start", "finals", "delta"]
+
+
+def _json_dumps_text(m):
+    doc = {
+        "start": m.start,
+        "finals": sorted(m.finals),
+        "delta": [list(row) for row in m.delta],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def test_json_writer_matches_json_dumps_on_all_tiny_automata():
+    for m in _all_tiny_automata():
+        assert to_json(m) == _json_dumps_text(m)
+
+
+@given(raw_dfas())
+def test_json_writer_matches_json_dumps(m):
+    assert to_json(m) == _json_dumps_text(m)
+
+
+def test_json_writer_writes_no_finals_as_an_empty_list():
+    m = Dfa(delta=((0, 0),), start=0, finals=frozenset())
+    assert to_json(m) == _json_dumps_text(m) == (
+        '{\n  "start": 0,\n  "finals": [],\n  "delta": [\n'
+        "    [\n      0,\n      0\n    ]\n  ]\n}\n"
+    )
 
 
 def test_json_rejects_unknown_keys():

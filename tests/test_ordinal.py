@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -49,6 +51,32 @@ def test_format_examples():
     assert format_ordinal(Ordinal((0, 0, 1))) == "w^2"
     assert format_ordinal(Ordinal.zero()) == "0"
     assert format_ordinal(Ordinal.from_int(7)) == "7"
+
+
+def _format_by_a_loop(o):
+    """The canonical text term by term, from the highest exponent down."""
+    if o.is_zero:
+        return "0"
+    parts = []
+    for k in range(len(o.coeffs) - 1, -1, -1):
+        c = o.coeffs[k]
+        if c == 0:
+            continue
+        if k == 0:
+            parts.append(str(c))
+        else:
+            base = "w" if k == 1 else f"w^{k}"
+            parts.append(base if c == 1 else f"{base}*{c}")
+    return " + ".join(parts)
+
+
+def test_format_matches_a_term_by_term_loop():
+    # Every ordinal of degree at most 4 with coefficients at most 3.
+    for coeffs in itertools.product(range(4), repeat=5):
+        o = Ordinal(coeffs)
+        assert format_ordinal(o) == _format_by_a_loop(o), coeffs
+    top = Ordinal.omega_power(MAX_DEGREE, 2) + 5
+    assert format_ordinal(top) == _format_by_a_loop(top) == f"w^{MAX_DEGREE}*2 + 5"
 
 
 def test_parse_whitespace_insensitive():
@@ -104,6 +132,10 @@ def test_format_rejects_coefficients_beyond_the_digit_limit():
         format_ordinal(Ordinal((2**15001 - 1,)))
     with pytest.raises(OrdinalRangeError, match="coefficient of w\\^2"):
         str(Ordinal((0, 0, 10**5000)))
+    # With two coefficients too long, the error names the higher exponent.
+    for coeffs, k in (((10**5000, 1, 10**5000, 3), 2), ((10**5000, 10**5000), 1)):
+        with pytest.raises(OrdinalRangeError, match=f"coefficient of w\\^{k} "):
+            format_ordinal(Ordinal(coeffs))
     # a degree overflow is one kind of range error
     assert issubclass(DegreeOverflowError, OrdinalRangeError)
 
