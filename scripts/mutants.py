@@ -2,8 +2,7 @@
 """Mutation run: do the differential fuzz and the tier-1 suite catch a
 fixed list of one-line mutants of the program?
 
-    python3 scripts/mutants.py               # every mutant
-    python3 scripts/mutants.py NAME [NAME]   # only these
+    python3 scripts/mutants.py
 
 For each mutant the tree (src/, tests/, scripts/ and pyproject.toml) is
 copied to a temporary directory and one line is replaced there; the
@@ -16,7 +15,6 @@ The exit status is 1 when a mutant survives or its line is no longer
 in the source.
 """
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -117,18 +115,10 @@ def run_mutant(mutant) -> tuple[str, str, str]:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("names", nargs="*", metavar="NAME", help="mutants to run (default all)")
-    args = ap.parse_args()
-    known = [m[0] for m in MUTANTS]
-    unknown = [n for n in args.names if n not in known]
-    if unknown:
-        ap.error(f"unknown mutant(s) {', '.join(unknown)}; known: {', '.join(known)}")
-    chosen = [m for m in MUTANTS if not args.names or m[0] in args.names]
-    width = max(len(m[0]) for m in chosen)
+    width = max(len(m[0]) for m in MUTANTS)
     print(f"{'mutant':<{width}}  {'fuzz':<16}  {'verdict':<8}  tier-1", flush=True)
     bad = 0
-    for mutant in chosen:
+    for mutant in MUTANTS:
         fuzz, tier1, verdict = run_mutant(mutant)
         bad += verdict != "killed"
         print(f"{mutant[0]:<{width}}  {fuzz:<16}  {verdict:<8}  {tier1}", flush=True)

@@ -19,7 +19,7 @@ import os
 import reprlib
 import sys
 
-from . import dfa, lexorder, ordinal, ordtype, wellorder
+from . import dfa, lexorder, oracle, ordinal, ordtype, wellorder
 from .synth import synth as synthesize
 
 EXIT_OK = 0
@@ -259,9 +259,6 @@ def _cmd_fuzz(args) -> int:
     seeds = 100 if args.seeds is None else args.seeds
     if seeds < 0:
         raise InputError(f"--seeds must be at least 0, got {seeds}")
-    # Imported here: no other command needs the oracles.
-    from . import oracle
-
     report = oracle.fuzz(seeds, args.states, exhaustive=args.exhaustive)
     sys.stdout.write(report.to_tsv())
     return EXIT_OK if report.ok else EXIT_FUZZ_FAILED
