@@ -33,8 +33,8 @@ TIMEOUT = 1800  # seconds per run; a run that hangs counts as killed
 # exactly once in its file, as a whole line.
 MUTANTS = [
     ("shortest-word-tries-1-first", "src/ordfa/dfa.py",
-     "        for b in (0, 1):",
-     "        for b in (1, 0):"),
+     "        for t in delta[q]:  # 0 before 1",
+     "        for t in reversed(delta[q]):  # 0 before 1"),
     ("sink-at-the-last-dead-component", "src/ordfa/dfa.py",
      "        first = k = min(dead_ids)",
      "        first = k = max(dead_ids)"),
@@ -62,6 +62,21 @@ MUTANTS = [
     ("roundtrip-dots-at-the-count", "scripts/ordinal_roundtrip.py",
      "        if len(words) > args.words:",
      "        if len(words) >= args.words:"),
+    ("next-word-at-the-first-branch-point", "src/ordfa/lexorder.py",
+     '    while (i := w.rfind("0", 0, i)) >= 0:',
+     '    while (i := w.find("0", 0, i)) >= 0:'),
+    ("sum-swaps-the-start-row", "src/ordfa/synth.py",
+     "    rows.append((m1.start, m2.start + n1))",
+     "    rows.append((m2.start + n1, m1.start))"),
+    ("check-flags-a-dead-1-exit", "src/ordfa/wellorder.py",
+     "        if q != sink and on1 != sink and ids[q] == ids[on0]:",
+     "        if q != sink and ids[q] == ids[on0]:"),
+    ("live-rule-ignores-the-1-edge", "src/ordfa/dfa.py",
+     "                    is_live = w in finals or live[a] or live[b]",
+     "                    is_live = w in finals or live[a]"),
+    ("rank-keeps-the-count-at-an-infinite-exit", "src/ordfa/ordtype.py",
+     "                n = 0",
+     "                pass"),
 ]
 
 

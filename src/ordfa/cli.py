@@ -3,9 +3,10 @@
 Exit codes: 0 on success (for `check`: well-ordered), 3 when the
 analyzed language is not well-ordered or has no least word, 2 on
 malformed input, 1 when a fuzz run finds a disagreement, 4 when the
-output cannot be written (one `error:` line on standard error), and
-141 (128 + SIGPIPE, as for a process that signal ends) without a
-message when the reader of standard output closed it early, as
+output cannot be written or standard output is closed (one `error:`
+line on standard error), and 141 (128 + SIGPIPE, as for a process
+that signal ends) without a message when the reader of standard
+output closed it early, as
 `ordfa enum big.json -n 20000 | head -1` does.  Commands that analyze
 an automaton trim it first; trimming never changes the language.  The
 empty word prints as "(eps)".
@@ -14,6 +15,7 @@ empty word prints as "(eps)".
 from __future__ import annotations
 
 import argparse
+import errno
 import itertools
 import os
 import reprlib
@@ -389,6 +391,8 @@ def main(argv=None) -> int:
     # Inputs are read through `_load` and `_read_chain`, which turn read
     # errors into InputError, so an OSError here came from writing.
     try:
+        if sys.stdout is None:  # what Python sets when fd 1 was closed
+            raise OSError(errno.EBADF, "standard output is closed")
         code = _run(argv)
         sys.stdout.flush()  # fail here, not in the flush at exit
         return code

@@ -10,8 +10,9 @@ The facts the analyses share (which states the start reaches, which
 are live, the dead states, strong component ids) come from one
 depth-first pass, `analyze`, memoized as `Dfa.analysis`: it runs on
 first use, at most once per automaton, and is freed with it.  `trim`
-fills the memo of its output by relabeling the pass it ran on its
-input, so an automaton read and trimmed costs one pass in all.
+returns a trim input as it is, and otherwise fills the memo of its
+output by relabeling the pass it ran on its input, so an automaton
+read and trimmed costs one pass in all.
 Nothing is kept across automata.
 """
 
@@ -102,9 +103,9 @@ class Dfa:
     def _unchecked(cls, delta, start, finals, analysis) -> Dfa:
         """A Dfa with its analysis, built without `__post_init__`.
 
-        Only `trim` calls it, with a table of in-range int pairs (built
-        by it, or taken from a checked Dfa) as a tuple and finals as a
-        frozenset, exactly the fields a checked Dfa holds, so equality
+        Only `trim` calls it, on a non-trim input, with a table of
+        in-range int pairs that it built itself as a tuple and finals as
+        a frozenset, exactly the fields a checked Dfa holds, so equality
         and hashing agree with a checked twin.
         """
         m = object.__new__(cls)
@@ -115,9 +116,9 @@ class Dfa:
     def analysis(self) -> Analysis:
         """The `analyze` pass, run on first access and kept in the
         instance, so it lives as long as the automaton: at most once per
-        automaton, and never on the output of `trim`, which fills this
-        memo itself.  It is not a field: equality and hashing ignore
-        it."""
+        automaton, and never again on the output of `trim`, which is
+        either its input or a new automaton whose memo `trim` fills.  It
+        is not a field: equality and hashing ignore it."""
         a = self.__dict__.get("analysis")
         if a is None:
             a = self.__dict__["analysis"] = analyze(self)
@@ -210,27 +211,21 @@ def analyze(m: Dfa) -> Analysis:
                     # only finals and edges into earlier components count.
                     w = stack.pop()
                     comp_of[w] = k
-                    if w == v:  # the common case of a single state
-                        if w in finals or live[row[0]] or live[row[1]]:
+                    a, b = delta[w]
+                    is_live = w in finals or live[a] or live[b]
+                    members = [w]
+                    while w != v:
+                        w = stack.pop()
+                        comp_of[w] = k
+                        members.append(w)
+                        if not is_live:
+                            a, b = delta[w]
+                            is_live = w in finals or live[a] or live[b]
+                    if is_live:
+                        for w in members:
                             live[w] = True
-                        else:
-                            dead.append(w)
                     else:
-                        a, b = delta[w]
-                        is_live = w in finals or live[a] or live[b]
-                        members = [w]
-                        while w != v:
-                            w = stack.pop()
-                            comp_of[w] = k
-                            members.append(w)
-                            if not is_live:
-                                a, b = delta[w]
-                                is_live = w in finals or live[a] or live[b]
-                        if is_live:
-                            for w in members:
-                                live[w] = True
-                        else:
-                            dead += members
+                        dead += members
                     k += 1
                 if work:
                     u = work[-1]
@@ -300,13 +295,13 @@ def trim(m: Dfa) -> TrimReport:
     dead state, which is when the pass on m emitted that state's whole
     dead subtree, since dead states lead only to dead states.
 
-    A trim m maps to itself, so then the result is a new Dfa holding
-    m's own table, finals and analysis, with nothing removed or merged.
+    A trim m maps to itself, so then the result is m itself, with
+    nothing removed or merged.
     """
     a = m.analysis
     if is_trim(m):
         return TrimReport(
-            trimmed=Dfa._unchecked(m.delta, m.start, m.finals, a),
+            trimmed=m,
             removed_unreachable=frozenset(),
             merged_into_sink=frozenset(),
             sink=sink_of(m),
@@ -435,24 +430,25 @@ def shortest_word(m: Dfa, src: int, targets: frozenset[int] | set[int]) -> str |
 
     Breadth-first, so among all shortest words the lexicographically
     least is produced.  Returns the empty word when src is a target.
+    Each visited state keeps only the state it was first reached from.
+    The letters are read back from `delta`: 0 wherever the 0-edge leads
+    to the next state, since 0 is tried first.
     """
     if src in targets:
         return ""
     delta = m.delta
-    prev: dict[int, tuple[int, str]] = {src: (-1, "")}
+    prev = {src: -1}
     todo = [src]
     for q in todo:  # breadth-first: the loop reaches every appended state
-        for b in (0, 1):
-            t = delta[q][b]
+        for t in delta[q]:  # 0 before 1
             if t not in prev:
-                prev[t] = (q, "01"[b])
+                prev[t] = q
                 if t in targets:
                     letters = []
-                    s = t
-                    while s != src:
-                        p, ch = prev[s]
-                        letters.append(ch)
-                        s = p
+                    while t != src:
+                        p = prev[t]
+                        letters.append("0" if delta[p][0] == t else "1")
+                        t = p
                     return "".join(reversed(letters))
                 todo.append(t)
     return None

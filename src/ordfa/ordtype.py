@@ -16,7 +16,6 @@ cycle's exits, and the state's type is w^(1 + d).
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Sequence
 
 from .dfa import Dfa, sink_of, validate_word
 from .ordinal import Ordinal
@@ -32,36 +31,6 @@ class NotWellOrderedError(Exception):
             f"state {witness.state}"
         )
         self.witness = witness
-
-
-def _walk(m: Dfa, q: int, word: str, types: Sequence[Ordinal | None]) -> Ordinal:
-    """The rank formula along word from state q: position by position,
-    one for an accepted prefix plus the 0-exit's type where the word
-    reads a 1.  Each such exit's type must already be in `types`.
-
-    The finite summands are counted as an int.  A finite left summand
-    is absorbed by an infinite one (n + a = a), so the count is dropped
-    at each infinite exit and added once at the end."""
-    delta, finals = m.delta, m.finals
-    total = Ordinal.zero()
-    n = 0
-    for ch in word:
-        if q in finals:
-            n += 1
-        if ch == "1":
-            ext = types[delta[q][0]]
-            if ext is None:
-                raise RuntimeError(
-                    f"exit target {delta[q][0]} of state {q} was not processed first"
-                )
-            cs = ext.coeffs
-            if len(cs) > 1:
-                total = total + ext
-                n = 0
-            elif cs:
-                n += cs[0]
-        q = delta[q][ch == "1"]
-    return total + n if n else total
 
 
 @dataclasses.dataclass(frozen=True)
@@ -134,6 +103,10 @@ def rank(m: Dfa, w: str, table: OrderTypeTable | None = None) -> Ordinal:
     there, in position order.  Raises ValueError, as `validate_word`
     does, on a letter other than '0' and '1', and when `table` was not
     built for an automaton of m's size and start.
+
+    The finite summands are counted as an int.  A finite left summand
+    is absorbed by an infinite one (n + a = a), so the count is dropped
+    at each infinite exit and added once at the end.
     """
     validate_word(w)
     if table is None:
@@ -144,4 +117,24 @@ def rank(m: Dfa, w: str, table: OrderTypeTable | None = None) -> Ordinal:
             f"{table.start}, but the automaton has {m.state_count} states "
             f"and start {m.start}"
         )
-    return _walk(m, m.start, w, table.per_state)
+    delta, finals, types = m.delta, m.finals, table.per_state
+    q = m.start
+    total = Ordinal.zero()
+    n = 0
+    for ch in w:
+        if q in finals:
+            n += 1
+        if ch == "1":
+            ext = types[delta[q][0]]
+            if ext is None:
+                raise RuntimeError(
+                    f"exit target {delta[q][0]} of state {q} has no type in the table"
+                )
+            cs = ext.coeffs
+            if len(cs) > 1:
+                total = total + ext
+                n = 0
+            elif cs:
+                n += cs[0]
+        q = delta[q][ch == "1"]
+    return total + n if n else total

@@ -553,6 +553,27 @@ def test_closed_pipe_exits_quietly(automaton_file):
     assert (child.returncode, err) == (EXIT_CLOSED_PIPE, b"")
 
 
+@pytest.mark.parametrize(
+    "argv", [["check"], ["ordtype", "--table"]], ids=["check", "ordtype-table"]
+)
+def test_closed_standard_output_is_a_write_error(automaton_file, argv):
+    # A child started with fd 1 closed sees sys.stdout as None.
+    src = os.path.dirname(os.path.dirname(ordfa.__file__))
+    child = subprocess.run(
+        [sys.executable, "-m", "ordfa.cli", *argv, automaton_file(M_CYCLE2)],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=60,
+        preexec_fn=lambda: os.close(1),
+    )
+    assert (child.returncode, child.stderr) == (
+        EXIT_OUTPUT,
+        "error: cannot write output: [Errno 9] standard output is closed\n",
+    )
+
+
 class _ClosedPipe(io.StringIO):
     def write(self, text):
         raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))

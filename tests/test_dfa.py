@@ -114,14 +114,11 @@ def test_trim_identity_on_trim_automaton():
         assert report.sink == sink_of(m)
 
 
-def test_trim_of_a_trim_automaton_is_a_new_automaton_with_its_own_memo():
+def test_trim_of_a_trim_automaton_is_the_automaton_itself():
     for m in FIXTURES:
         a = m.analysis
         out = trim(m).trimmed
-        assert out == m and hash(out) == hash(m)
-        assert out is not m
-        # The output's memo is its own: writing it leaves m's alone.
-        vars(out)["analysis"] = a._replace(reached=a.reached + 1)
+        assert out is m
         assert m.analysis is a and a == analyze(m)
 
 

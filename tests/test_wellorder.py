@@ -129,13 +129,13 @@ def test_invariant_checks_survive_optimized_mode():
     # `python -O` strips assert statements; these checks must still raise.
     script = """
 from ordfa.dfa import Dfa
-from ordfa.ordtype import _walk
+from ordfa.ordtype import OrderTypeTable, rank
 from ordfa.wellorder import build_witness
 onestar = Dfa(delta=((1, 0), (1, 1)), start=0, finals=frozenset({0}))
 cycle2 = Dfa(delta=((1, 3), (2, 0), (3, 3), (3, 3)), start=0, finals=frozenset({2}))
 for call, expected in (
     (lambda: build_witness(onestar, 0), ValueError),
-    (lambda: _walk(cycle2, 0, "01", [None] * 4), RuntimeError),
+    (lambda: rank(cycle2, "01", OrderTypeTable((None,) * 4, 0)), RuntimeError),
 ):
     try:
         call()
