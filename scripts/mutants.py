@@ -77,6 +77,24 @@ MUTANTS = [
     ("rank-keeps-the-count-at-an-infinite-exit", "src/ordfa/ordtype.py",
      "                n = 0",
      "                pass"),
+    ("sum-keeps-the-right-coefficient", "src/ordfa/ordinal.py",
+     "        return _normal(b[:d] + (a_d + b[d],) + a[d + 1 :])",
+     "        return _normal(b[:d] + (b[d],) + a[d + 1 :])"),
+    ("sum-drops-the-left-high-terms", "src/ordfa/ordinal.py",
+     "        return _normal(b[:d] + (a_d + b[d],) + a[d + 1 :])",
+     "        return _normal(b[:d] + (a_d + b[d],))"),
+    ("int-sum-drops-the-left-summand", "src/ordfa/ordinal.py",
+     "                return _normal((a[0] + other,) + a[1:] if a else (other,))",
+     "                return _normal((other,))"),
+    ("omega-power-writes-the-coefficient-first", "src/ordfa/ordinal.py",
+     "            return _normal((0,) * k + (coeff,))",
+     "            return _normal((coeff,) + (0,) * k)"),
+    ("exhaustive-takes-two-dead-states", "src/ordfa/oracle.py",
+     "                if dead <= 1:",
+     "                if dead <= 2:"),
+    ("error-line-without-standard-error-goes-to-stdout", "src/ordfa/cli.py",
+     "    if sys.stderr is None:  # what Python sets when fd 2 was closed",
+     "    if False:"),
 ]
 
 

@@ -6,10 +6,11 @@ malformed input, 1 when a fuzz run finds a disagreement, 4 when the
 output cannot be written or standard output is closed (one `error:`
 line on standard error), and 141 (128 + SIGPIPE, as for a process
 that signal ends) without a message when the reader of standard
-output closed it early, as
-`ordfa enum big.json -n 20000 | head -1` does.  Commands that analyze
-an automaton trim it first; trimming never changes the language.  The
-empty word prints as "(eps)".
+output closed it early, as `ordfa enum big.json -n 20000 | head -1`
+does.  With standard error closed, the `error:` lines are dropped and
+the exit codes stay the same.  Commands that analyze an automaton trim
+it first; trimming never changes the language.  The empty word prints
+as "(eps)".
 """
 
 from __future__ import annotations
@@ -368,23 +369,34 @@ def _run(argv) -> int:
         return EXIT_NEGATIVE
     except ordinal.OrdinalRangeError as e:
         where = f"{args.file}: " if hasattr(args, "file") else ""
-        print(f"error: {where}order type out of range: {e}", file=sys.stderr)
+        _print_error(f"{where}order type out of range: {e}")
         return EXIT_INPUT
     except (InputError, dfa.NotTrimError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        _print_error(str(e))
         return EXIT_INPUT
 
 
-def _discard_stdout() -> None:
-    """Point standard output at the null device, so that the flush at
-    interpreter exit cannot fail again on what is still buffered."""
+def _discard(stream) -> None:
+    """Point the stream's file descriptor at the null device, so that the
+    flush at interpreter exit cannot fail again on what is still buffered."""
     try:
-        fd = sys.stdout.fileno()
+        fd = stream.fileno()
     except (AttributeError, OSError, ValueError):
         return  # not backed by a file descriptor: nothing to redirect
     null = os.open(os.devnull, os.O_WRONLY)
     os.dup2(null, fd)
     os.close(null)
+
+
+def _print_error(message: str) -> None:
+    """One `error:` line on standard error, or nothing when it is closed:
+    the exit code still tells what went wrong."""
+    if sys.stderr is None:  # what Python sets when fd 2 was closed
+        return
+    try:
+        print(f"error: {message}", file=sys.stderr)
+    except OSError:
+        _discard(sys.stderr)
 
 
 def main(argv=None) -> int:
@@ -397,10 +409,10 @@ def main(argv=None) -> int:
         sys.stdout.flush()  # fail here, not in the flush at exit
         return code
     except OSError as e:
-        _discard_stdout()
+        _discard(sys.stdout)
         if isinstance(e, BrokenPipeError):
             return EXIT_CLOSED_PIPE
-        print(f"error: cannot write output: {e}", file=sys.stderr)
+        _print_error(f"cannot write output: {e}")
         return EXIT_OUTPUT
 
 

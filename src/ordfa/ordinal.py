@@ -4,6 +4,11 @@ An ordinal is kept as a tuple of natural coefficients (c0, c1, ..., cd),
 index = exponent, so (4, 1, 3) means w^2*3 + w*1 + 4.  The tuple never
 ends in a zero; the empty tuple is the ordinal 0.
 
+Coefficients are checked where they enter: the public constructor
+`Ordinal(coeffs)`, `from_int`, `omega_power` and `parse_ordinal`.  Sums
+are trusted: the sum of two normal forms is a normal form, so `+`
+builds its result without checking it again.
+
 Coefficients are Python ints, so they read and write in decimal only
 up to the interpreter's int/str digit limit (`sys.get_int_max_str_digits`,
 4,300 digits by default): `parse_ordinal` rejects a longer integer and
@@ -59,11 +64,11 @@ class Ordinal:
 
     @classmethod
     def zero(cls) -> "Ordinal":
-        return cls()
+        return _ZERO
 
     @classmethod
     def one(cls) -> "Ordinal":
-        return cls((1,))
+        return _ONE
 
     @classmethod
     def from_int(cls, n: int) -> "Ordinal":
@@ -79,6 +84,8 @@ class Ordinal:
             raise ValueError("exponent must be a natural")
         if k > MAX_DEGREE:
             raise DegreeOverflowError(f"degree {k} exceeds the bound {MAX_DEGREE}")
+        if type(coeff) is int and coeff > 0:
+            return _normal((0,) * k + (coeff,))
         return cls((0,) * k + (coeff,))
 
     @property
@@ -100,20 +107,24 @@ class Ordinal:
         return self._coeffs[0] if self._coeffs else 0
 
     def __add__(self, other):
-        if type(other) is int and other > 0:
-            # A natural right summand only adds to the finite part.
-            a = self._coeffs
-            return Ordinal((a[0] + other,) + a[1:] if a else (other,))
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero:
+        if type(other) is not Ordinal:
+            if type(other) is int and other > 0:
+                # A natural right summand only adds to the finite part.
+                a = self._coeffs
+                return _normal((a[0] + other,) + a[1:] if a else (other,))
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        b = other._coeffs
+        if not b:
             return self
-        a, b = self._coeffs, other._coeffs
+        a = self._coeffs
         d = len(b) - 1
         # Left summand keeps only the part at or above the right's degree.
+        # The result ends in a's last entry or in a_d + b[d] > 0, and is
+        # no longer than the longer summand.
         a_d = a[d] if d < len(a) else 0
-        return Ordinal(b[:d] + (a_d + b[d],) + a[d + 1 :])
+        return _normal(b[:d] + (a_d + b[d],) + a[d + 1 :])
 
     def __radd__(self, other):
         other = _coerce(other)
@@ -173,6 +184,26 @@ class Ordinal:
 
     def __repr__(self):
         return f"Ordinal([{', '.join(map(_int_repr, self._coeffs))}])"
+
+
+def _normal(coeffs: tuple) -> Ordinal:
+    """The Ordinal of a tuple already in normal form: naturals with a
+    nonzero last entry.  Nothing is checked.
+
+    Callers build coeffs from checked ordinals and positive ints only,
+    and never make the tuple longer than the longest tuple they started
+    from (`omega_power` checks its exponent first).  So the degree bound
+    holds without a check here, and DegreeOverflowError can still come
+    only from the checked paths: `Ordinal(coeffs)`, `omega_power` and
+    `parse_ordinal`."""
+    o = object.__new__(Ordinal)
+    o._coeffs = coeffs
+    return o
+
+
+# Ordinal has no setters, so every zero() and one() can be the same.
+_ZERO = _normal(())
+_ONE = _normal((1,))
 
 
 def _int_repr(c: int) -> str:

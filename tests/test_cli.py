@@ -574,6 +574,43 @@ def test_closed_standard_output_is_a_write_error(automaton_file, argv):
     )
 
 
+def _close_stderr():
+    os.close(2)
+
+
+def _read_only_stderr():
+    # What a shell wrapper can leave at fd 2 when it was closed: a file
+    # open for reading, which Python wraps but cannot write to.
+    os.close(2)
+    os.set_inheritable(os.open(os.devnull, os.O_RDONLY), True)
+
+
+def _close_stdout_and_stderr():
+    os.close(1)
+    os.close(2)
+
+
+@pytest.mark.parametrize(
+    "preexec, code",
+    [(_close_stderr, 2), (_read_only_stderr, 2), (_close_stdout_and_stderr, EXIT_OUTPUT)],
+    ids=["closed", "read-only", "stdout-too"],
+)
+def test_closed_standard_error_keeps_the_exit_code(tmp_path, preexec, code):
+    # The error line has nowhere to go, and goes nowhere else.
+    src = os.path.dirname(os.path.dirname(ordfa.__file__))
+    child = subprocess.run(
+        [sys.executable, "-m", "ordfa.cli", "check", "missing.json"],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+        timeout=60,
+        preexec_fn=preexec,
+    )
+    assert (child.returncode, child.stdout) == (code, "")
+
+
 class _ClosedPipe(io.StringIO):
     def write(self, text):
         raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))

@@ -20,6 +20,8 @@ from ordfa.oracle import (
     naive_check,
     random_trim_dfa,
 )
+from ordfa.ordinal import Ordinal
+from ordfa.ordtype import OrderTypeTable, order_type
 from ordfa.wellorder import CheckResult, Witness, check
 
 ###############################################################################
@@ -178,6 +180,26 @@ def test_exhaustive_yields_distinct_trim_automata():
         assert m.start == 0
 
 
+def _first_trim_results(max_states):
+    """The family by its definition: trim every raw automaton with start
+    0, in product order, and keep each result at its first appearance."""
+    seen = set()
+    for n in range(1, max_states + 1):
+        pairs = [(a, b) for a in range(n) for b in range(n)]
+        for rows in itertools.product(pairs, repeat=n):
+            clo = _closure(rows)
+            for fmask in range(1 << n):
+                key = _trim_key(rows, fmask, clo)
+                if key not in seen:
+                    seen.add(key)
+                    yield Dfa(delta=key[0], start=0, finals=frozenset(key[1]))
+
+
+@pytest.mark.parametrize("max_states", [1, 2, 3])
+def test_exhaustive_yields_each_trim_result_at_its_first_appearance(max_states):
+    assert list(exhaustive_trim_dfas(max_states)) == list(_first_trim_results(max_states))
+
+
 @settings(max_examples=200)
 @given(raw_dfas(max_states=6))
 def test_trim_key_mirrors_trim(m):
@@ -265,6 +287,18 @@ def test_examine_flags_a_witness_that_is_not_least(monkeypatch):
     monkeypatch.setattr(oracle, "check", lambda m: longer)
     monkeypatch.setattr(oracle, "naive_check", lambda m: longer)
     assert _examine(M_0STAR1) == ("not-well-ordered", 1, "witness-not-least")
+
+
+def test_examine_flags_a_type_that_is_not_in_normal_form(monkeypatch):
+    # 1* has type w; a sum that kept a trailing zero would give (0, 1, 0).
+    table = order_type(M_ONESTAR)
+    assert table.overall == Ordinal.omega()
+    padded = object.__new__(Ordinal)
+    padded._coeffs = table.overall.coeffs + (0,)
+    types = tuple(padded if q == table.start else t for q, t in enumerate(table.per_state))
+    bad = OrderTypeTable(per_state=types, start=table.start)
+    monkeypatch.setattr(oracle, "order_type", lambda m: bad)
+    assert _examine(M_ONESTAR) == ("well-ordered", 1, "type-not-normal")
 
 
 @pytest.mark.parametrize(

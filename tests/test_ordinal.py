@@ -206,6 +206,68 @@ ordinals = st.builds(
 )
 
 
+# Normal forms of every degree up to the bound, with large coefficients.
+normal_forms = st.builds(
+    Ordinal,
+    st.lists(st.integers(min_value=0, max_value=10**20), max_size=MAX_DEGREE + 1),
+)
+
+
+def _terms(o):
+    """The nonzero terms (exponent, coefficient), highest exponent first."""
+    return [(k, c) for k, c in reversed(list(enumerate(o.coeffs))) if c]
+
+
+def _sum_by_terms(a, b):
+    """The coefficients of a + b, term by term: the terms of a below the
+    leading term of b vanish, and a term of a at the same exponent adds
+    its coefficient to it."""
+    right = _terms(b)
+    if not right:
+        return a.coeffs
+    lead, c = right[0]
+    left = _terms(a)
+    same = sum(x for k, x in left if k == lead)
+    terms = [t for t in left if t[0] > lead] + [(lead, same + c)] + right[1:]
+    out = [0] * (terms[0][0] + 1)
+    for k, x in terms:
+        out[k] = x
+    return tuple(out)
+
+
+@given(normal_forms, normal_forms, st.integers(min_value=1, max_value=10**20))
+def test_sums_are_normal_forms_of_the_term_by_term_sum(a, b, n):
+    # `+` builds its result without the constructor's checks.
+    for total, expected in (
+        (a + b, _sum_by_terms(a, b)),
+        (a + n, _sum_by_terms(a, Ordinal((n,)))),
+    ):
+        assert total.coeffs == expected
+        assert total.coeffs == Ordinal(list(total.coeffs)).coeffs
+        assert not total.coeffs or total.coeffs[-1] != 0
+
+
+@given(
+    st.integers(min_value=0, max_value=MAX_DEGREE),
+    st.integers(min_value=0, max_value=10**20),
+)
+def test_omega_power_is_a_normal_form(k, c):
+    assert Ordinal.omega_power(k, c).coeffs == Ordinal([0] * k + [c]).coeffs
+
+
+def test_zero_and_one_keep_their_values_after_arithmetic():
+    zero, one = Ordinal.zero(), Ordinal.one()
+    results = [
+        zero + zero, zero + one, one + zero, one + one, zero + 5, one + 5,
+        5 + one, one + W, W + one, zero.times_omega(), one.times_omega(),
+    ]
+    assert [r.coeffs for r in results] == [
+        (), (1,), (1,), (2,), (5,), (6,), (6,), (0, 1), (1, 1), (), (0, 1),
+    ]
+    assert (Ordinal.zero().coeffs, Ordinal.one().coeffs) == ((), (1,))
+    assert (zero.coeffs, one.coeffs) == ((), (1,))
+
+
 @given(ordinals, ordinals, ordinals)
 def test_addition_associative(a, b, c):
     assert (a + b) + c == a + (b + c)
