@@ -95,6 +95,33 @@ MUTANTS = [
     ("error-line-without-standard-error-goes-to-stdout", "src/ordfa/cli.py",
      "    if sys.stderr is None:  # what Python sets when fd 2 was closed",
      "    if False:"),
+    ("replay-reads-the-tail-without-its-1", "src/ordfa/wellorder.py",
+     '    rest = validate_word("1" + w.tail)',
+     "    rest = validate_word(w.tail)"),
+    ("replay-steps-without-the-0", "src/ordfa/wellorder.py",
+     '    step = validate_word("0" + w.loop)',
+     "    step = validate_word(w.loop)"),
+    ("min-word-of-the-empty-language-is-eps", "src/ordfa/lexorder.py",
+     "    return next(iter_words(m), None)",
+     '    return next(iter_words(m), "")'),
+    ("naive-check-follows-the-1-edge", "src/ordfa/oracle.py",
+     "        if q != snk and on1 != snk and clo[on0] >> q & 1:",
+     "        if q != snk and on1 != snk and clo[on1] >> q & 1:"),
+    ("analysis-as-a-plain-property", "src/ordfa/dfa.py",
+     "    @functools.cached_property",
+     "    @property"),
+    ("less-than-compares-with-at-most", "src/ordfa/ordinal.py",
+     "        return self._key() < other._key()",
+     "        return self._key() <= other._key()"),
+    ("omega-power-takes-any-exponent-type", "src/ordfa/ordinal.py",
+     "        if type(k) is not int or k < 0:",
+     "        if k < 0:"),
+    ("enumerate-words-without-the-count-clamp", "src/ordfa/lexorder.py",
+     "    return list(itertools.islice(iter_words(m), min(max(n, 0), sys.maxsize)))",
+     "    return list(itertools.islice(iter_words(m), max(n, 0)))"),
+    ("enum-command-without-the-count-clamp", "src/ordfa/cli.py",
+     "    for w in itertools.islice(lexorder.iter_words(m), min(args.count, sys.maxsize)):",
+     "    for w in itertools.islice(lexorder.iter_words(m), args.count):"),
 ]
 
 

@@ -133,8 +133,8 @@ def _cmd_enum(args) -> int:
         raise InputError(f"--count must be at least 0, got {args.count}")
     m = _load_trimmed(args.file)
     # Each word is printed as it is found, so a reader that stops early
-    # stops the walk.
-    for w in itertools.islice(lexorder.iter_words(m), args.count):
+    # stops the walk.  No run reaches sys.maxsize words, islice's limit.
+    for w in itertools.islice(lexorder.iter_words(m), min(args.count, sys.maxsize)):
         print(_fmt_word(w))
     return EXIT_OK
 

@@ -19,6 +19,7 @@ Nothing is kept across automata.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import sys
 from typing import NamedTuple
@@ -112,17 +113,15 @@ class Dfa:
         m.__dict__.update(delta=delta, start=start, finals=finals, analysis=analysis)
         return m
 
-    @property
+    @functools.cached_property
     def analysis(self) -> Analysis:
         """The `analyze` pass, run on first access and kept in the
-        instance, so it lives as long as the automaton: at most once per
-        automaton, and never again on the output of `trim`, which is
-        either its input or a new automaton whose memo `trim` fills.  It
-        is not a field: equality and hashing ignore it."""
-        a = self.__dict__.get("analysis")
-        if a is None:
-            a = self.__dict__["analysis"] = analyze(self)
-        return a
+        instance's `__dict__` by `functools.cached_property`, so it lives
+        as long as the automaton: at most once per automaton, and never
+        again on the output of `trim`, which is either its input or a
+        new automaton whose `__dict__` entry `trim` fills.  It is not a
+        field: equality and hashing ignore it."""
+        return analyze(self)
 
 
 def _bad_letter(word: str) -> str:

@@ -14,6 +14,7 @@ import dataclasses
 import enum
 import itertools
 import reprlib
+import sys
 from collections.abc import Iterator, Sequence
 
 from .dfa import Dfa, validate_word
@@ -124,10 +125,7 @@ def min_word(m: Dfa) -> str | None:
     Raises NoMinimumError when the language is nonempty but has no
     least element.
     """
-    live = m.analysis.live
-    if not live[m.start]:
-        return None
-    return _min_from(m, live, [m.start])
+    return next(iter_words(m), None)
 
 
 def successor(m: Dfa, w: str) -> str | None:
@@ -162,8 +160,9 @@ def iter_words(m: Dfa) -> Iterator[str]:
 
 def enumerate_words(m: Dfa, n: int) -> list[str]:
     """First n accepted words in lexicographic order (fewer if the
-    language runs out), in O(their total length) time."""
-    return list(itertools.islice(iter_words(m), max(n, 0)))
+    language runs out), in O(their total length) time.  A count beyond
+    sys.maxsize, which no run reaches, reads as sys.maxsize."""
+    return list(itertools.islice(iter_words(m), min(max(n, 0), sys.maxsize)))
 
 
 _EMBED = {"0": "0", "1": "10", "2": "11"}

@@ -1,7 +1,7 @@
 """Independent reference implementations and differential testing.
 
 Everything here either recomputes a result by a route the main modules
-do not take (bounded enumeration, per-state breadth-first search,
+do not take (bounded enumeration, a reachability closure table,
 length-indexed counting, greedy descent through exact-length tables)
 or drives the main and reference routes against each other over
 generated automata.
@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
-from collections import deque
 
 from .dfa import Dfa, analyze, condense, ensure_trim, trim, validate_word
 from .lexorder import enumerate_words
@@ -49,8 +48,9 @@ def enum_bounded(m: Dfa, bound: int) -> list[str]:
 
 
 def naive_check(m: Dfa) -> CheckResult:
-    """Quadratic well-order check: per-state breadth-first reachability
-    instead of strong components.  Same verdict and witness as `check`.
+    """Well-order check on a reachability closure table (the bitmasks
+    of `_closure`) instead of strong components.  Same verdict and
+    witness as `check`: q fails when its 0-edge leads back to q.
     The sink is taken by its shape, not from `sink_of`, so the routes
     share no liveness pass: in a trim automaton the one dead state is
     the non-final state whose two edges both loop to itself."""
@@ -59,10 +59,11 @@ def naive_check(m: Dfa) -> CheckResult:
         (q for q, (a, b) in enumerate(m.delta) if a == b == q and q not in m.finals),
         None,
     )
-    for q in range(m.state_count):
-        if q == snk:
-            continue
-        if _reaches(m, m.delta[q][0], q) and m.delta[q][1] != snk:
+    # `_closure` counts one or more steps; on0 == q needs no case of its
+    # own, since then q's 0-edge itself puts q into clo[on0].
+    clo = _closure(m.delta)
+    for q, (on0, on1) in enumerate(m.delta):
+        if q != snk and on1 != snk and clo[on0] >> q & 1:
             return CheckResult(False, build_witness(m, q))
     return CheckResult(True, None)
 
@@ -92,22 +93,6 @@ def least_shortest_word(m: Dfa, src: int, targets) -> str | None:
         q, letter = (a, "0") if exact[left][a] else (b, "1")
         letters.append(letter)
     return "".join(letters)
-
-
-def _reaches(m: Dfa, src: int, dst: int) -> bool:
-    if src == dst:
-        return True
-    seen = {src}
-    todo = deque(seen)
-    while todo:
-        q = todo.popleft()
-        for t in m.delta[q]:
-            if t == dst:
-                return True
-            if t not in seen:
-                seen.add(t)
-                todo.append(t)
-    return False
 
 
 def brute_rank(m: Dfa, w: str, bound: int) -> int:

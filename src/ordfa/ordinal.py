@@ -17,6 +17,7 @@ up to the interpreter's int/str digit limit (`sys.get_int_max_str_digits`,
 
 from __future__ import annotations
 
+import functools
 import sys
 
 MAX_DEGREE = 64
@@ -42,6 +43,7 @@ class OrdinalParseError(ValueError):
         self.position = position
 
 
+@functools.total_ordering
 class Ordinal:
     __slots__ = ("_coeffs",)
 
@@ -80,7 +82,7 @@ class Ordinal:
 
     @classmethod
     def omega_power(cls, k: int, coeff: int = 1) -> "Ordinal":
-        if k < 0:
+        if type(k) is not int or k < 0:
             raise ValueError("exponent must be a natural")
         if k > MAX_DEGREE:
             raise DegreeOverflowError(f"degree {k} exceeds the bound {MAX_DEGREE}")
@@ -152,24 +154,6 @@ class Ordinal:
         if other is NotImplemented:
             return NotImplemented
         return self._key() < other._key()
-
-    def __le__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._key() <= other._key()
-
-    def __gt__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._key() > other._key()
-
-    def __ge__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._key() >= other._key()
 
     def __hash__(self):
         # A finite ordinal equals its int, so it hashes as that int.

@@ -79,35 +79,28 @@ def witness_failure(m: Dfa, w: Witness, upto: int) -> str | None:
     needs no check: chain[n+1] and chain[n] share the prefix
     access (0 loop)^n and continue with a 0 and a 1, so chain[n+1] is
     strictly below chain[n] for every witness.  Membership is replayed
-    state by state: the run of access (0 loop)^n is carried from one
-    depth to the next, and only '1' tail is read from it.  The words
-    themselves are built only to describe a failure.  The automaton is
-    deterministic, so once the run of access (0 loop)^n comes back to a
-    state it held at an earlier depth, every later depth repeats a
-    check that already passed: replay stops there, after at most one
-    depth per state.
+    through `Dfa.run`: the state after access (0 loop)^n is carried from
+    one depth to the next, and only '1' tail is read from it.  Both
+    words are validated first, so a bad letter raises ValueError for any
+    upto.  The words of the chain are built only to describe a failure.
+    The automaton is deterministic, so once the run of access (0 loop)^n
+    comes back to a state it held at an earlier depth, every later depth
+    repeats a check that already passed: replay stops there, after at
+    most one depth per state.
     """
-    delta, finals = m.delta, m.finals
-    loop_bits = _bits("0" + w.loop)
-    tail_bits = _bits("1" + w.tail)
-    state = m.run(m.start, w.access)
+    run, finals = m.run, m.finals
+    step = validate_word("0" + w.loop)
+    rest = validate_word("1" + w.tail)
+    state = run(m.start, w.access)
     seen = set()
     for n in range(upto):
         if state in seen:
             return None
         seen.add(state)
-        s = state
-        for b in tail_bits:
-            s = delta[s][b]
-        if s not in finals:
+        if run(state, rest) not in finals:
             return f"chain[{n}] = {witness_chain(w, n) or '(eps)'} is not accepted"
-        for b in loop_bits:
-            state = delta[state][b]
+        state = run(state, step)
     return None
-
-
-def _bits(word: str) -> tuple[int, ...]:
-    return tuple(map(int, validate_word(word)))
 
 
 def verify_witness(m: Dfa, w: Witness, upto: int) -> bool:

@@ -200,6 +200,12 @@ def test_enum_rejects_a_negative_count(automaton_file, capsys):
     assert run(capsys, "enum", path, "-n", "0") == (0, "", "")
 
 
+def test_enum_takes_a_count_beyond_sys_maxsize(automaton_file, capsys):
+    # islice refuses a stop above sys.maxsize; no run lists that many words.
+    code, out, err = run(capsys, "enum", automaton_file(M_EPS), "-n", str(10**20))
+    assert (code, out, err) == (0, "(eps)\n", "")
+
+
 def test_enum_no_minimum(automaton_file, capsys):
     code, out, _ = run(capsys, "enum", automaton_file(M_0STAR1), "-n", "3")
     assert code == 3
@@ -403,6 +409,12 @@ def test_roundtrip_script_ends_a_listing_with_dots_only_when_words_remain():
     assert rows[0].endswith(" ok  000, 001, 010, 011, 100")
     assert rows[1].endswith(" ok  000, 001, 010, 011, 100, ...")
     assert rows[2].endswith(" ok  00, 01, 10, 11")
+
+
+def test_roundtrip_script_takes_a_word_count_beyond_sys_maxsize():
+    child = _run_script("ordinal_roundtrip.py", "--words", str(10**20), "5")
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.rstrip("\n").endswith(" ok  000, 001, 010, 011, 100")
 
 
 def test_roundtrip_script_rejects_a_negative_word_count():

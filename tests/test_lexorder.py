@@ -17,7 +17,9 @@ from machines import (
 )
 from ordfa.dfa import Dfa
 from ordfa.oracle import enum_bounded, random_trim_dfa
+from ordfa.ordinal import Ordinal
 from ordfa.ordtype import order_type, rank
+from ordfa.synth import synth
 from ordfa.wellorder import check
 from ordfa.lexorder import (
     ChainAnalysis,
@@ -128,6 +130,10 @@ def test_enumerate_words_examples():
     assert enumerate_words(M_ONESTAR, 4) == ["", "1", "11", "111"]
     assert enumerate_words(M_EPS, 5) == [""]
     assert enumerate_words(M_CYCLE2, 0) == []
+
+
+def test_enumerate_words_takes_a_count_beyond_sys_maxsize():
+    assert enumerate_words(synth(Ordinal.from_int(3)), 10**20) == ["00", "01", "10"]
 
 
 def test_enumerate_words_empty_language():

@@ -120,6 +120,12 @@ def test_degree_overflow():
     assert Ordinal.omega_power(MAX_DEGREE).degree == MAX_DEGREE
 
 
+@pytest.mark.parametrize("k", [True, 2.0, "2"])
+def test_omega_power_rejects_an_exponent_that_is_not_a_natural(k):
+    with pytest.raises(ValueError, match="exponent must be a natural"):
+        Ordinal.omega_power(k)
+
+
 def test_parse_rejects_integers_beyond_the_digit_limit():
     for text, position in (("9" * 5000, 0), ("w^2*" + "9" * 5000, 4), ("w + " + "1" * 5000, 4)):
         with pytest.raises(OrdinalParseError, match="5,000 digits") as info:

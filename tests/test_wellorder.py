@@ -119,6 +119,16 @@ def test_witness_failure_names_the_first_rejected_depth():
     assert witness_failure(m, fake, 16) == "chain[2] = 1000011 is not accepted"
 
 
+@pytest.mark.parametrize("loop, tail", [("02", ""), ("", "12")], ids=["loop", "tail"])
+def test_replay_rejects_a_bad_letter_before_replaying(loop, tail):
+    # Depth 0 replays nothing, so only a check made before the replay
+    # raises there; a deeper replay raises the same error.
+    w = Witness(access="", loop=loop, tail=tail, state=0)
+    for upto in (0, 5):
+        with pytest.raises(ValueError, match="^letter '2' at position 2 is not 0 or 1$"):
+            witness_failure(M_ONESTAR, w, upto)
+
+
 def test_build_witness_rejects_a_state_without_chain():
     # state 0 of 1* reads 0 into the sink, so no 0-loop returns to it
     with pytest.raises(ValueError, match="state 0 is not a failing state"):
