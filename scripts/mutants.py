@@ -111,17 +111,35 @@ MUTANTS = [
      "    @functools.cached_property",
      "    @property"),
     ("less-than-compares-with-at-most", "src/ordfa/ordinal.py",
-     "        return self._key() < other._key()",
-     "        return self._key() <= other._key()"),
+     "        return (len(a), a[::-1]) < (len(b), b[::-1])",
+     "        return (len(a), a[::-1]) <= (len(b), b[::-1])"),
     ("omega-power-takes-any-exponent-type", "src/ordfa/ordinal.py",
      "        if type(k) is not int or k < 0:",
      "        if k < 0:"),
-    ("enumerate-words-without-the-count-clamp", "src/ordfa/lexorder.py",
-     "    return list(itertools.islice(iter_words(m), min(max(n, 0), sys.maxsize)))",
-     "    return list(itertools.islice(iter_words(m), max(n, 0)))"),
-    ("enum-command-without-the-count-clamp", "src/ordfa/cli.py",
-     "    for w in itertools.islice(lexorder.iter_words(m), min(args.count, sys.maxsize)):",
-     "    for w in itertools.islice(lexorder.iter_words(m), args.count):"),
+    ("enumerate-words-takes-one-more", "src/ordfa/lexorder.py",
+     "    return [w for _, w in zip(range(n), iter_words(m))]",
+     "    return [w for _, w in zip(range(n + 1), iter_words(m))]"),
+    ("enum-command-takes-one-more", "src/ordfa/cli.py",
+     "    for _, w in zip(range(args.count), lexorder.iter_words(m)):",
+     "    for _, w in zip(range(args.count + 1), lexorder.iter_words(m)):"),
+    ("enumerate-words-looks-past-the-count", "src/ordfa/lexorder.py",
+     "    return [w for _, w in zip(range(n), iter_words(m))]",
+     "    return [w for w, _ in zip(iter_words(m), range(n))]"),
+    ("enum-command-looks-past-the-count", "src/ordfa/cli.py",
+     "    for _, w in zip(range(args.count), lexorder.iter_words(m)):",
+     "    for w, _ in zip(lexorder.iter_words(m), range(args.count)):"),
+    ("brute-rank-reads-letters-swapped", "src/ordfa/oracle.py",
+     '        q = m.delta[q][ch == "1"]',
+     '        q = m.delta[q][ch == "0"]'),
+    ("descent-test-lets-equal-words-pass", "src/ordfa/lexorder.py",
+     "        if not words[i] < words[i - 1]:",
+     "        if words[i] > words[i - 1]:"),
+    ("fuzz-drops-the-type-above-start-check", "src/ordfa/oracle.py",
+     "    if any(table.overall < t for t in table.per_state):",
+     "    if False:"),
+    ("fuzz-rank-order-lets-equal-ranks-pass", "src/ordfa/oracle.py",
+     "    if any(not r < s for (_, r), (_, s) in zip(ranked, ranked[1:])):",
+     "    if any(not r <= s for (_, r), (_, s) in zip(ranked, ranked[1:])):"),
 ]
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import itertools
 import os
 import reprlib
 import sys
@@ -133,8 +132,8 @@ def _cmd_enum(args) -> int:
         raise InputError(f"--count must be at least 0, got {args.count}")
     m = _load_trimmed(args.file)
     # Each word is printed as it is found, so a reader that stops early
-    # stops the walk.  No run reaches sys.maxsize words, islice's limit.
-    for w in itertools.islice(lexorder.iter_words(m), min(args.count, sys.maxsize)):
+    # stops the walk; `range` leads, so no word past the count is sought.
+    for _, w in zip(range(args.count), lexorder.iter_words(m)):
         print(_fmt_word(w))
     return EXIT_OK
 

@@ -78,14 +78,6 @@ class Dfa:
     def state_count(self) -> int:
         return len(self.delta)
 
-    def step(self, q: int, letter: str) -> int:
-        """State reached from q by reading one letter; ValueError unless
-        the letter is '0' or '1'."""
-        try:
-            return self.delta[q][_BIT[letter]]
-        except KeyError:
-            raise ValueError(f"letter {letter!r} is not 0 or 1") from None
-
     def run(self, q: int, word: str) -> int:
         """State reached from q by reading word; ValueError, as from
         `validate_word`, on a letter other than '0' and '1'."""

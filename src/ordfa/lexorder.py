@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import itertools
 import reprlib
-import sys
 from collections.abc import Iterator, Sequence
 
 from .dfa import Dfa, validate_word
@@ -160,9 +158,8 @@ def iter_words(m: Dfa) -> Iterator[str]:
 
 def enumerate_words(m: Dfa, n: int) -> list[str]:
     """First n accepted words in lexicographic order (fewer if the
-    language runs out), in O(their total length) time.  A count beyond
-    sys.maxsize, which no run reaches, reads as sys.maxsize."""
-    return list(itertools.islice(iter_words(m), min(max(n, 0), sys.maxsize)))
+    language runs out), in O(their total length) time."""
+    return [w for _, w in zip(range(n), iter_words(m))]
 
 
 _EMBED = {"0": "0", "1": "10", "2": "11"}
@@ -183,24 +180,21 @@ def embed3to2(word: str) -> str:
 def extract_strict_chain(words: list[str]) -> list[str]:
     """Thin a strictly descending sequence down to strict-order drops.
 
-    The input must descend under the full lexicographic order.  The
-    result starts at words[0] and keeps, each time, the first later
-    word that is strictly (not prefix) below the last kept one.
+    One scan checks each step with `<`, the lexicographic order (see
+    above), and keeps words[0], then each time the first later word
+    strictly (not prefix) below the last kept one.  NotDescendingError
+    names the first step that does not descend.
     """
-    if not words:
-        return []
-    for i in range(len(words) - 1):
-        rel = compare_lex(words[i + 1], words[i])
-        if rel not in (LexRelation.PREFIX_LESS, LexRelation.STRICT_LESS):
+    out = list(words[:1])
+    for i in range(1, len(words)):
+        if not words[i] < words[i - 1]:
             # reprlib elides the middle of a long word, to keep one short line.
             raise NotDescendingError(
-                f"words[{i + 1}] = {reprlib.repr(words[i + 1])} does not descend "
-                f"below words[{i}] = {reprlib.repr(words[i])}"
+                f"words[{i}] = {reprlib.repr(words[i])} does not descend "
+                f"below words[{i - 1}] = {reprlib.repr(words[i - 1])}"
             )
-    out = [words[0]]
-    for w in words[1:]:
-        if compare_lex(w, out[-1]) is LexRelation.STRICT_LESS:
-            out.append(w)
+        if compare_lex(words[i], out[-1]) is LexRelation.STRICT_LESS:
+            out.append(words[i])
     return out
 
 

@@ -99,9 +99,10 @@ def brute_rank(m: Dfa, w: str, bound: int) -> int:
     """|{v accepted : |v| <= bound, v below w}| by length-indexed counting.
 
     No ordinal machinery is involved: accepted-word counts per state and
-    length are tabulated, then summed along w.  Tests pin this against a
-    literal filter of enum_bounded.  It takes O(states * bound) time,
-    so the bound is not capped.
+    length are tabulated, then summed along w, which is checked once by
+    `validate_word` and then read straight through `delta`.  Tests pin
+    this against a literal filter of enum_bounded.  It takes
+    O(states * bound) time, so the bound is not capped.
     """
     if bound < 0:
         raise ValueError("bound must be a natural")
@@ -123,7 +124,7 @@ def brute_rank(m: Dfa, w: str, bound: int) -> int:
             rem = bound - i - 1
             if rem >= 0:
                 total += cum[m.delta[q][0]][rem]
-        q = m.step(q, ch)
+        q = m.delta[q][ch == "1"]
     return total
 
 
@@ -269,15 +270,16 @@ class FuzzReport:
 
 
 def _rank_consistency(m: Dfa, table) -> str | None:
-    finite: list[tuple[str, int]] = []
-    for length in range(RANK_CHECK_LEN + 1):
-        for tup in itertools.product("01", repeat=length):
-            w = "".join(tup)
-            if not m.accepts(w):
-                continue
-            r = rank(m, w, table)
-            if r.is_finite:
-                finite.append((w, r.as_int()))
+    # Every rank, infinite ones included, sorted by word.
+    ranked = sorted(
+        (w, rank(m, w, table))
+        for length in range(RANK_CHECK_LEN + 1)
+        for w in map("".join, itertools.product("01", repeat=length))
+        if m.accepts(w)
+    )
+    if any(not r < s for (_, r), (_, s) in zip(ranked, ranked[1:])):
+        return "rank-order"
+    finite = [(w, r.as_int()) for w, r in ranked if r.is_finite]
     if not finite:
         return None
     max_r = max(r for _, r in finite)
@@ -350,6 +352,9 @@ def _examine(m: Dfa):
             return verdict, checks, "height-bound"
     if table.overall.degree > m.state_count:
         return verdict, checks, "degree-bound"
+    # x L(q) is a copy of L(q) inside L(m), so no type exceeds the start's.
+    if any(table.overall < t for t in table.per_state):
+        return verdict, checks, "type-above-start"
     checks += 1
     for members in cond.components:
         first = table.per_state[members[0]]
@@ -368,8 +373,9 @@ def fuzz(seeds: int, states: int, *, exhaustive: bool = False) -> FuzzReport:
     fast check against naive check, witnesses replayed to completion
     and compared with the least shortest words, and on well-ordered
     cases the order-type invariants (types in normal form, height bound,
-    component constancy, rank consistency on every word of at most
-    RANK_CHECK_LEN letters).
+    no type above the start's, component constancy, and on every word
+    of at most RANK_CHECK_LEN letters rank consistency, with ranks that
+    strictly increase in word order).
 
     Seeded mode generates `seeds` random automata and reports one case
     per seed.  Exhaustive mode walks every trim automaton with at most

@@ -74,6 +74,8 @@ class Ordinal:
 
     @classmethod
     def from_int(cls, n: int) -> "Ordinal":
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+            raise ValueError(f"coefficients must be naturals, got {n!r}")
         return cls((n,)) if n else cls()
 
     @classmethod
@@ -134,15 +136,6 @@ class Ordinal:
             return NotImplemented
         return other + self
 
-    def times_omega(self) -> "Ordinal":
-        """Ordinal product with w: 0 for 0, else w^(degree+1)."""
-        if self.is_zero:
-            return self
-        return Ordinal.omega_power(len(self._coeffs))
-
-    def _key(self):
-        return (len(self._coeffs), self._coeffs[::-1])
-
     def __eq__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
@@ -153,7 +146,8 @@ class Ordinal:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._key() < other._key()
+        a, b = self._coeffs, other._coeffs
+        return (len(a), a[::-1]) < (len(b), b[::-1])
 
     def __hash__(self):
         # A finite ordinal equals its int, so it hashes as that int.

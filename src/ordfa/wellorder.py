@@ -41,7 +41,9 @@ def witness_chain(w: Witness, n: int) -> str:
 def build_witness(m: Dfa, q: int) -> Witness:
     """Deterministic witness at failing state q: breadth-first shortest
     words, ties resolved toward the letter 0.  ValueError when q yields
-    no chain."""
+    no chain or is not a state."""
+    if not 0 <= q < m.state_count:
+        raise ValueError(f"state {q} is out of range for {m.state_count} states")
     access = shortest_word(m, m.start, {q})
     loop = shortest_word(m, m.delta[q][0], {q})
     tail = shortest_word(m, m.delta[q][1], m.finals)

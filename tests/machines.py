@@ -25,6 +25,14 @@ M_EPS = Dfa(delta=((1, 1), (1, 1)), start=0, finals=frozenset({0}))
 
 FIXTURES = [M_ONESTAR, M_CYCLE2, M_0STAR1, M_EPS]
 
+# L = {0} + 1 0* 1, whose least word has no successor: 1 0^(n+1) 1 is
+# below 1 0^n 1
+M_ZERO_THEN_CHAIN = Dfa(
+    delta=((1, 2), (4, 4), (2, 3), (4, 4), (4, 4)),
+    start=0,
+    finals=frozenset({1, 3}),
+)
+
 
 def naive_relation(u: str, v: str) -> LexRelation:
     """Textbook positional classification, independent of compare_lex."""

@@ -10,7 +10,7 @@ import pytest
 
 import ordfa
 from ordfa import lexorder
-from machines import M_0STAR1, M_CYCLE2, M_EPS, M_ONESTAR
+from machines import M_0STAR1, M_CYCLE2, M_EPS, M_ONESTAR, M_ZERO_THEN_CHAIN
 from ordfa.cli import EXIT_CLOSED_PIPE, EXIT_OUTPUT, main, render_dot
 from ordfa.dfa import Dfa, dump, from_json, load
 from ordfa.ordtype import order_type
@@ -201,9 +201,16 @@ def test_enum_rejects_a_negative_count(automaton_file, capsys):
 
 
 def test_enum_takes_a_count_beyond_sys_maxsize(automaton_file, capsys):
-    # islice refuses a stop above sys.maxsize; no run lists that many words.
+    # range takes any int; no run lists that many words.
     code, out, err = run(capsys, "enum", automaton_file(M_EPS), "-n", str(10**20))
     assert (code, out, err) == (0, "(eps)\n", "")
+
+
+def test_enum_stops_at_the_count_before_a_descending_chain(automaton_file, capsys):
+    # The word after 0 does not exist, and -n 1 never looks for it.
+    path = automaton_file(M_ZERO_THEN_CHAIN)
+    assert run(capsys, "enum", path, "-n", "1") == (0, "0\n", "")
+    assert run(capsys, "enum", path, "-n", "2")[0] == 3
 
 
 def test_enum_no_minimum(automaton_file, capsys):

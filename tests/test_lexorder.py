@@ -10,6 +10,7 @@ from machines import (
     M_CYCLE2,
     M_EPS,
     M_ONESTAR,
+    M_ZERO_THEN_CHAIN,
     all_words,
     binary_words,
     naive_lex_less,
@@ -134,6 +135,12 @@ def test_enumerate_words_examples():
 
 def test_enumerate_words_takes_a_count_beyond_sys_maxsize():
     assert enumerate_words(synth(Ordinal.from_int(3)), 10**20) == ["00", "01", "10"]
+
+
+def test_enumerate_words_stops_at_the_count_before_a_descending_chain():
+    assert enumerate_words(M_ZERO_THEN_CHAIN, 1) == ["0"]
+    with pytest.raises(NoMinimumError):
+        enumerate_words(M_ZERO_THEN_CHAIN, 2)
 
 
 def test_enumerate_words_empty_language():

@@ -301,6 +301,23 @@ def test_examine_flags_a_type_that_is_not_in_normal_form(monkeypatch):
     assert _examine(M_ONESTAR) == ("well-ordered", 1, "type-not-normal")
 
 
+def test_examine_flags_a_type_above_the_start_type(monkeypatch):
+    # (01)*00 has type w at both states of its cycle; a start typed 0
+    # would sit below the other one.
+    table = order_type(M_CYCLE2)
+    assert table.start == 0 and table.per_state[1] == Ordinal.omega()
+    bad = OrderTypeTable(per_state=(Ordinal.zero(),) + table.per_state[1:], start=0)
+    monkeypatch.setattr(oracle, "order_type", lambda m: bad)
+    assert _examine(M_CYCLE2) == ("well-ordered", 2, "type-above-start")
+
+
+def test_examine_flags_ranks_that_do_not_increase_in_word_order(monkeypatch):
+    # 1* ranks its words 0, 1, 2, ...; equal ranks for two words, even
+    # infinite ones, break the order.
+    monkeypatch.setattr(oracle, "rank", lambda m, w, table: Ordinal.omega())
+    assert _examine(M_ONESTAR) == ("well-ordered", 4, "rank-order")
+
+
 @pytest.mark.parametrize(
     "seeds, states, message",
     [

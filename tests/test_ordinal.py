@@ -36,12 +36,6 @@ def test_mixed_sum():
     assert a + b == parse_ordinal("w^2 + w + 1")
 
 
-def test_times_omega():
-    assert (W + 1).times_omega() == parse_ordinal("w^2")
-    assert Ordinal.zero().times_omega().is_zero
-    assert Ordinal.from_int(5).times_omega() == W
-
-
 def test_parse_canonical_example():
     assert parse_ordinal("w^2*3 + w + 4").coeffs == (4, 1, 3)
 
@@ -124,6 +118,12 @@ def test_degree_overflow():
 def test_omega_power_rejects_an_exponent_that_is_not_a_natural(k):
     with pytest.raises(ValueError, match="exponent must be a natural"):
         Ordinal.omega_power(k)
+
+
+@pytest.mark.parametrize("n", [None, "", 0.0, False, [], True, 2.0, -1])
+def test_from_int_rejects_what_is_not_a_natural(n):
+    with pytest.raises(ValueError, match="coefficients must be naturals"):
+        Ordinal.from_int(n)
 
 
 def test_parse_rejects_integers_beyond_the_digit_limit():
@@ -265,10 +265,10 @@ def test_zero_and_one_keep_their_values_after_arithmetic():
     zero, one = Ordinal.zero(), Ordinal.one()
     results = [
         zero + zero, zero + one, one + zero, one + one, zero + 5, one + 5,
-        5 + one, one + W, W + one, zero.times_omega(), one.times_omega(),
+        5 + one, one + W, W + one,
     ]
     assert [r.coeffs for r in results] == [
-        (), (1,), (1,), (2,), (5,), (6,), (6,), (0, 1), (1, 1), (), (0, 1),
+        (), (1,), (1,), (2,), (5,), (6,), (6,), (0, 1), (1, 1),
     ]
     assert (Ordinal.zero().coeffs, Ordinal.one().coeffs) == ((), (1,))
     assert (zero.coeffs, one.coeffs) == ((), (1,))
@@ -304,12 +304,6 @@ def test_low_degree_absorbed_into_omega_power(a):
     d = a.degree
     p = Ordinal.omega_power(d + 1)
     assert a + p == p
-
-
-@given(ordinals)
-def test_times_omega_is_single_power(a):
-    if not a.is_zero:
-        assert a.times_omega() == Ordinal.omega_power(a.degree + 1)
 
 
 @given(ordinals)

@@ -1,0 +1,17 @@
+import ast
+import sys
+from pathlib import Path
+
+import ordfa
+
+
+def test_runtime_imports_only_the_standard_library():
+    names = set()
+    for path in Path(ordfa.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    assert names, "no absolute import found; is the package where it should be?"
+    assert names <= sys.stdlib_module_names, names - sys.stdlib_module_names

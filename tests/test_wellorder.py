@@ -135,6 +135,12 @@ def test_build_witness_rejects_a_state_without_chain():
         build_witness(M_ONESTAR, 0)
 
 
+@pytest.mark.parametrize("q", [4, -1])
+def test_build_witness_rejects_a_state_out_of_range(q):
+    with pytest.raises(ValueError, match=f"state {q} is out of range for 4 states"):
+        build_witness(M_CYCLE2, q)
+
+
 def test_invariant_checks_survive_optimized_mode():
     # `python -O` strips assert statements; these checks must still raise.
     script = """
