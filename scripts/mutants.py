@@ -48,8 +48,8 @@ MUTANTS = [
      "    if finals:",
      "    if True:"),
     ("trim-fast-path-takes-two-dead-states", "src/ordfa/dfa.py",
-     "    if is_trim(m):",
-     "    if not a.unreachable and len(a.dead) <= 2:"),
+     "    if not a.unreachable and len(a.dead) <= 1:  # m is trim",
+     "    if not a.unreachable and len(a.dead) <= 2:  # m is trim"),
     ("condense-frees-a-mask-at-its-first-reader", "src/ordfa/dfa.py",
      "                    if last[jt] == j:",
      "                    if last[jt] >= j:"),
@@ -140,6 +140,21 @@ MUTANTS = [
     ("fuzz-rank-order-lets-equal-ranks-pass", "src/ordfa/oracle.py",
      "    if any(not r < s for (_, r), (_, s) in zip(ranked, ranked[1:])):",
      "    if any(not r <= s for (_, r), (_, s) in zip(ranked, ranked[1:])):"),
+    ("dfa-lets-a-1-target-out-of-range", "src/ordfa/dfa.py",
+     "            if not (type(a) is int and type(b) is int and 0 <= a < n and 0 <= b < n):",
+     "            if not (type(a) is int and type(b) is int and 0 <= a < n):"),
+    ("walk-does-not-pass-low-up", "src/ordfa/dfa.py",
+     "                    low[u] = lv",
+     "                    pass"),
+    ("trim-lists-removed-states-only-with-dead-ones", "src/ordfa/dfa.py",
+     "    if a.unreachable:  # else no id is `reached` or above",
+     "    if a.dead:  # else no id is `reached` or above"),
+    ("check-takes-several-dead-states", "src/ordfa/wellorder.py",
+     "    if a.unreachable or len(dead) > 1:",
+     "    if a.unreachable:"),
+    ("synth-times-takes-any-multiplier-type", "src/ordfa/synth.py",
+     "    if type(c) is not int or c < 1:",
+     "    if c < 1:"),
 ]
 
 

@@ -42,37 +42,43 @@ _BIT = {"0": 0, "1": 1}
 _DROP_BITS = str.maketrans("", "", "01")
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, init=False)
 class Dfa:
     """Complete DFA over {0,1}: transition table, start state, final states.
 
-    `delta[q]` is the pair (target on 0, target on 1).
+    `delta[q]` is the pair (target on 0, target on 1).  A state is an
+    int (not a bool) in range(n); ValueError names the first bad value.
+    The package's one dataclass, for its memo; other records are
+    NamedTuples.
     """
 
     delta: tuple[tuple[int, int], ...]
     start: int
     finals: frozenset[int]
 
-    def __post_init__(self):
-        # A state is an int (not a bool) in range(n).
-        rows = tuple(tuple(row) for row in self.delta)
-        finals = list(self.finals)
+    def __init__(self, delta, start, finals):
+        rows = tuple(map(tuple, delta))
+        finals = list(finals)
         n = len(rows)
         if n == 0:
             raise ValueError("an automaton needs at least one state")
         for q, row in enumerate(rows):
-            if len(row) != 2:
-                raise ValueError(f"state {q} must have exactly two transitions")
-            for t in row:
-                if type(t) is not int or not 0 <= t < n:
-                    raise ValueError(f"state {q} has a bad transition target {t!r}")
-        if type(self.start) is not int or not 0 <= self.start < n:
-            raise ValueError(f"bad start state {self.start!r}")
+            try:
+                a, b = row
+            except ValueError:
+                raise ValueError(f"state {q} must have exactly two transitions") from None
+            if not (type(a) is int and type(b) is int and 0 <= a < n and 0 <= b < n):
+                t = next(t for t in row if type(t) is not int or not 0 <= t < n)
+                raise ValueError(f"state {q} has a bad transition target {t!r}")
+        if type(start) is not int or not 0 <= start < n:
+            raise ValueError(f"bad start state {start!r}")
         for q in finals:
             if type(q) is not int or not 0 <= q < n:
                 raise ValueError(f"bad final state {q!r}")
-        object.__setattr__(self, "delta", rows)
-        object.__setattr__(self, "finals", frozenset(finals))
+        fields = self.__dict__  # past the frozen `__setattr__`
+        fields["delta"] = rows
+        fields["start"] = start
+        fields["finals"] = frozenset(finals)
 
     @property
     def state_count(self) -> int:
@@ -94,7 +100,7 @@ class Dfa:
 
     @classmethod
     def _unchecked(cls, delta, start, finals, analysis) -> Dfa:
-        """A Dfa with its analysis, built without `__post_init__`.
+        """A Dfa with its analysis, built without the checks of `__init__`.
 
         Only `trim` calls it, on a non-trim input, with a table of
         in-range int pairs that it built itself as a tuple and finals as
@@ -158,7 +164,8 @@ def analyze(m: Dfa) -> Analysis:
     exactly when it holds a final state or has an edge into a live
     component emitted before it.  The components emitted from the start
     are the ones it reaches.  Iterative, so deep transition chains
-    cannot overflow the Python stack.
+    cannot overflow the Python stack: the walk goes back up through
+    `parent`, the state each state was entered from.
     """
     delta, finals = m.delta, m.finals
     n = len(delta)
@@ -167,6 +174,7 @@ def analyze(m: Dfa) -> Analysis:
     comp_of = [-1] * n  # -1 while unvisited or still on the stack
     live = [False] * n
     next_edge = [0] * n
+    parent = [-1] * n  # the state the walk entered a state from
     stack: list[int] = []
     dead: list[int] = []
     counter = k = 0
@@ -177,9 +185,8 @@ def analyze(m: Dfa) -> Analysis:
         counter += 1
         index[root] = low[root] = counter
         stack.append(root)
-        work = [root]
-        while work:
-            v = work[-1]
+        v = root
+        while v >= 0:
             row = delta[v]
             i = next_edge[v]
             while i < 2:
@@ -190,13 +197,14 @@ def analyze(m: Dfa) -> Analysis:
                     counter += 1
                     index[w] = low[w] = counter
                     stack.append(w)
-                    work.append(w)
+                    parent[w] = v
+                    v = w
                     break
                 if comp_of[w] < 0 and index[w] < low[v]:
                     low[v] = index[w]
             else:  # both edges done: v is finished
-                work.pop()
-                if low[v] == index[v]:
+                lv = low[v]
+                if lv == index[v]:
                     # Emit v's component: v and the states above it on the
                     # stack.  Their own live flags are still False, so
                     # only finals and edges into earlier components count.
@@ -218,10 +226,10 @@ def analyze(m: Dfa) -> Analysis:
                     else:
                         dead += members
                     k += 1
-                if work:
-                    u = work[-1]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
+                u = parent[v]  # -1 at the root: the walk is over
+                if u >= 0 and lv < low[u]:
+                    low[u] = lv
+                v = u
         if reached < 0:  # the pass from the start is over
             reached, unreachable = k, n - counter
     dead.sort()
@@ -253,8 +261,7 @@ def sink_of(m: Dfa) -> int | None:
     return dead[0] if dead else None
 
 
-@dataclasses.dataclass(frozen=True)
-class TrimReport:
+class TrimReport(NamedTuple):
     """Result of trimming: the new automaton and what changed.
 
     Unreachable old states are dropped and listed in
@@ -290,12 +297,12 @@ def trim(m: Dfa) -> TrimReport:
     nothing removed or merged.
     """
     a = m.analysis
-    if is_trim(m):
+    if not a.unreachable and len(a.dead) <= 1:  # m is trim
         return TrimReport(
             trimmed=m,
             removed_unreachable=frozenset(),
             merged_into_sink=frozenset(),
-            sink=sink_of(m),
+            sink=a.dead[0] if a.dead else None,
         )
     ids, live, reached = a.component_of, a.live, a.reached
     dead = [q for q in a.dead if ids[q] < reached]  # ascending
@@ -334,13 +341,19 @@ def trim(m: Dfa) -> TrimReport:
 
     # The sink's edges lead to dead states, so they become its own loops.
     delta = m.delta
+    new_live = [True] * len(kept)
+    if dead:
+        new_live[sink] = False
+    removed = frozenset()
+    if a.unreachable:  # else no id is `reached` or above
+        removed = frozenset([q for q, j in enumerate(ids) if j >= reached])
     trimmed = Dfa._unchecked(
         delta=tuple([(new_of[s0], new_of[s1]) for s0, s1 in map(delta.__getitem__, kept)]),
         start=new_of[m.start],
-        finals=frozenset(new_of[q] for q in m.finals if ids[q] < reached),
+        finals=frozenset([new_of[q] for q in m.finals if ids[q] < reached]),
         analysis=Analysis(
             component_of=tuple(component_of),
-            live=tuple(i != sink for i in range(len(kept))),
+            live=tuple(new_live),
             reached=components,
             dead=(sink,) if dead else (),
             unreachable=0,
@@ -348,14 +361,13 @@ def trim(m: Dfa) -> TrimReport:
     )
     return TrimReport(
         trimmed=trimmed,
-        removed_unreachable=frozenset(q for q, j in enumerate(ids) if j >= reached),
+        removed_unreachable=removed,
         merged_into_sink=frozenset(dead[1:]),
         sink=sink,
     )
 
 
-@dataclasses.dataclass(frozen=True)
-class Condensation:
+class Condensation(NamedTuple):
     """Strong components of an automaton and their heights.
 
     Components are numbered by the ids of `m.analysis`: `components[j]`

@@ -10,10 +10,10 @@ through `compare_lex`.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import reprlib
 from collections.abc import Iterator, Sequence
+from typing import NamedTuple
 
 from .dfa import Dfa, validate_word
 
@@ -198,8 +198,7 @@ def extract_strict_chain(words: list[str]) -> list[str]:
     return out
 
 
-@dataclasses.dataclass(frozen=True)
-class ChainAnalysis:
+class ChainAnalysis(NamedTuple):
     """Flip structure of a strict descending chain.
 
     Times are 1-based: time n is the step from the n-th word to the

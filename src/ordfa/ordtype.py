@@ -15,7 +15,7 @@ cycle's exits, and the state's type is w^(1 + d).
 
 from __future__ import annotations
 
-import dataclasses
+from typing import NamedTuple
 
 from .dfa import Dfa, sink_of, validate_word
 from .ordinal import Ordinal
@@ -33,8 +33,7 @@ class NotWellOrderedError(Exception):
         self.witness = witness
 
 
-@dataclasses.dataclass(frozen=True)
-class OrderTypeTable:
+class OrderTypeTable(NamedTuple):
     """Order types per state; the automaton's overall type is the start's."""
 
     per_state: tuple[Ordinal, ...]

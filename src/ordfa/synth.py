@@ -63,7 +63,7 @@ def synth_times(m: Dfa, c: int) -> Dfa:
     A tight state reading 1 against a 0 of c - 1 goes to a sink, which
     trimming merges with m's.  For c = 1, P is {eps} and m is returned.
     """
-    if c < 1:
+    if type(c) is not int or c < 1:
         raise ValueError(f"the multiplier must be a positive integer, got {c!r}")
     if c == 1:
         return m

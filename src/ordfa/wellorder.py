@@ -9,13 +9,12 @@ descending chain produces such a state.
 
 from __future__ import annotations
 
-import dataclasses
+from typing import NamedTuple
 
-from .dfa import Dfa, ensure_trim, shortest_word, sink_of, validate_word
+from .dfa import Dfa, ensure_trim, shortest_word, validate_word
 
 
-@dataclasses.dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Generator of a descending chain: chain[n] = access (0 loop)^n 1 tail.
 
     `access` drives the start state to `state`, reading '0' then `loop`
@@ -28,8 +27,7 @@ class Witness:
     state: int
 
 
-@dataclasses.dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     well_ordered: bool
     witness: Witness | None
 
@@ -66,8 +64,12 @@ def check(m: Dfa) -> CheckResult:
     Tarjan pass per automaton, no condensation).  The reported witness
     is at the smallest failing state index.
     """
-    ensure_trim(m)
-    sink, ids = sink_of(m), m.analysis.component_of
+    a = m.analysis
+    dead = a.dead
+    if a.unreachable or len(dead) > 1:
+        ensure_trim(m)  # raises NotTrimError
+    sink = dead[0] if dead else None
+    ids = a.component_of
     for q, (on0, on1) in enumerate(m.delta):
         if q != sink and on1 != sink and ids[q] == ids[on0]:
             return CheckResult(False, build_witness(m, q))

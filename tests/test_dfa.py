@@ -86,6 +86,30 @@ def test_validation():
         Dfa(delta=((0, 0),), start=0, finals=frozenset({9}))
 
 
+def _bad_target_cases():
+    for t in (True, 1.0, float("nan"), None, -1, 2):
+        yield ((0, 0), (0, t)), 0, (), f"state 1 has a bad transition target {t!r}"
+        yield ((t, 0), (0, 0)), 0, (), f"state 0 has a bad transition target {t!r}"
+
+
+@pytest.mark.parametrize(
+    "delta, start, finals, message",
+    [
+        (((0,),), 0, (), "state 0 must have exactly two transitions"),
+        (((0, 0), (0, 0, 0)), 0, (), "state 1 must have exactly two transitions"),
+        *_bad_target_cases(),
+        (((0, 0), (0, 0)), 2, (), "bad start state 2"),
+        (((0, 0), (0, 0)), True, (), "bad start state True"),
+        (((0, 0), (0, 0)), 0, (1, 2), "bad final state 2"),
+        (((0, 0), (0, 0)), 0, [False], "bad final state False"),
+    ],
+)
+def test_dfa_names_the_first_bad_value(delta, start, finals, message):
+    with pytest.raises(ValueError) as info:
+        Dfa(delta=delta, start=start, finals=finals)
+    assert str(info.value) == message
+
+
 ###############################################################################
 # trim
 ###############################################################################

@@ -279,6 +279,14 @@ def test_examine_flags_an_analysis_that_a_fresh_pass_does_not_find():
     assert _examine(m) == ("not-well-ordered", 0, "analysis-disagreement")
 
 
+def test_examine_flags_an_analysis_that_is_not_kept(monkeypatch):
+    # A plain property runs a fresh pass on every read: each result is
+    # right, but it is not the memo that trim hands over.
+    m = Dfa(delta=M_0STAR1.delta, start=M_0STAR1.start, finals=M_0STAR1.finals)
+    monkeypatch.setattr(Dfa, "analysis", property(analyze))
+    assert _examine(m) == ("not-well-ordered", 0, "analysis-disagreement")
+
+
 def test_examine_flags_a_witness_that_is_not_least(monkeypatch):
     # 0*1 fails at its start: the least witness is access "", loop "",
     # tail "".  The chain 00 (00)^n 1 replays just as well.

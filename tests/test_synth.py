@@ -75,6 +75,12 @@ def test_synth_times_rejects_nonpositive():
         synth_times(synth_one(), 0)
 
 
+@pytest.mark.parametrize("c", [0, -1, True, 2.0])
+def test_synth_times_rejects_a_multiplier_that_is_not_a_positive_int(c):
+    with pytest.raises(ValueError, match="the multiplier must be a positive integer"):
+        synth_times(synth_one(), c)
+
+
 def _times(a, c):
     """a * c by repeated ordinal addition."""
     return sum([a] * c, Ordinal.zero())

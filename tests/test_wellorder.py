@@ -61,8 +61,11 @@ def test_check_nontrivial_witness_parts():
 
 def test_check_requires_trim():
     not_trim = Dfa(delta=((0, 1), (1, 1)), start=0, finals=frozenset())
-    with pytest.raises(NotTrimError):
+    with pytest.raises(NotTrimError, match=r"^2 states have empty language; run trim first$"):
         check(not_trim)
+    unreachable = Dfa(delta=((0, 0), (1, 1)), start=0, finals=frozenset({0}))
+    with pytest.raises(NotTrimError, match=r"^1 unreachable state\(s\); run trim first$"):
+        check(unreachable)
 
 
 def test_witness_chain_values():
