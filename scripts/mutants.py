@@ -69,8 +69,8 @@ MUTANTS = [
      "    rows.append((m1.start, m2.start + n1))",
      "    rows.append((m2.start + n1, m1.start))"),
     ("check-flags-a-dead-1-exit", "src/ordfa/wellorder.py",
-     "        if q != sink and on1 != sink and ids[q] == ids[on0]:",
-     "        if q != sink and ids[q] == ids[on0]:"),
+     "        if live[on1] and ids[q] == ids[on0]:",
+     "        if ids[q] == ids[on0]:"),
     ("live-rule-ignores-the-1-edge", "src/ordfa/dfa.py",
      "                    is_live = w in finals or live[a] or live[b]",
      "                    is_live = w in finals or live[a]"),
@@ -150,11 +150,20 @@ MUTANTS = [
      "    if a.unreachable:  # else no id is `reached` or above",
      "    if a.dead:  # else no id is `reached` or above"),
     ("check-takes-several-dead-states", "src/ordfa/wellorder.py",
-     "    if a.unreachable or len(dead) > 1:",
+     "    if a.unreachable or len(a.dead) > 1:",
      "    if a.unreachable:"),
     ("synth-times-takes-any-multiplier-type", "src/ordfa/synth.py",
      "    if type(c) is not int or c < 1:",
      "    if c < 1:"),
+    ("check-reads-the-0-edge-liveness", "src/ordfa/wellorder.py",
+     "        if live[on1] and ids[q] == ids[on0]:",
+     "        if live[on0] and ids[q] == ids[on0]:"),
+    ("dot-greys-the-live-states", "src/ordfa/cli.py",
+     "            if not live[q]:",
+     "            if live[q]:"),
+    ("coerce-keeps-a-zero-coefficient", "src/ordfa/ordinal.py",
+     "        return _normal((other,)) if other else _ZERO",
+     "        return _normal((other,))"),
 ]
 
 

@@ -1,7 +1,7 @@
 """Well-ordering analysis and ordinal order types for binary DFAs."""
 
 from .dfa import Dfa, Condensation, TrimReport, condense, from_json, is_trim, load
-from .dfa import dump, sink_of, to_json, trim
+from .dfa import dump, to_json, trim
 from .lexorder import (
     ChainAnalysis,
     LexRelation,
@@ -46,7 +46,6 @@ __all__ = [
     "order_type",
     "parse_ordinal",
     "rank",
-    "sink_of",
     "successor",
     "synth",
     "synth_mul_omega",

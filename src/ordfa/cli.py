@@ -224,9 +224,10 @@ def _cmd_dot(args) -> int:
 
 def render_dot(m: dfa.Dfa) -> str:
     """Graphviz text for the automaton, states clustered by strong
-    component (labeled with the component's height)."""
+    component (labeled with the component's height), dead states filled
+    grey: the one sink of a trim automaton, every dead state of another."""
     cond = dfa.condense(m)
-    snk = dfa.sink_of(m)
+    live = m.analysis.live
     lines = [
         "digraph automaton {",
         "  rankdir=LR;",
@@ -238,7 +239,7 @@ def render_dot(m: dfa.Dfa) -> str:
         lines.append(f'    label="C{cid} (height {h})";')
         for q in members:
             attrs = ["shape=doublecircle" if q in m.finals else "shape=circle"]
-            if q == snk:
+            if not live[q]:
                 attrs.append("style=filled")
                 attrs.append("fillcolor=lightgrey")
             lines.append(f"    q{q} [{', '.join(attrs)}];")

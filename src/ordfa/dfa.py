@@ -33,10 +33,6 @@ class NotTrimError(Exception):
     """An operation that requires a trim automaton was given a non-trim one."""
 
 
-class MultipleSinksError(NotTrimError):
-    """More than one state has empty language."""
-
-
 _BIT = {"0": 0, "1": 1}
 # str.translate table that deletes both letters: what is left is bad.
 _DROP_BITS = str.maketrans("", "", "01")
@@ -57,7 +53,17 @@ class Dfa:
     finals: frozenset[int]
 
     def __init__(self, delta, start, finals):
-        rows = tuple(map(tuple, delta))
+        try:
+            rows = tuple(map(tuple, delta))
+        except TypeError:
+            # Name the first row that is not a sequence, unless delta is
+            # an iterator, which the attempt has partly used up.
+            for q, row in enumerate(delta if iter(delta) is not delta else ()):
+                try:
+                    tuple(row)
+                except TypeError:
+                    raise ValueError(f"state {q} must have exactly two transitions") from None
+            raise
         finals = list(finals)
         n = len(rows)
         if n == 0:
@@ -247,18 +253,6 @@ def ensure_trim(m: Dfa) -> None:
         raise NotTrimError(f"{a.unreachable} unreachable state(s); run trim first")
     if len(a.dead) > 1:
         raise NotTrimError(f"{len(a.dead)} states have empty language; run trim first")
-
-
-def sink_of(m: Dfa) -> int | None:
-    """The unique empty-language state, or None when every state is live.
-
-    Diagnoses a non-trim automaton instead of silently picking one of
-    several dead states.
-    """
-    dead = m.analysis.dead
-    if len(dead) > 1:
-        raise MultipleSinksError(f"states {list(dead)} all have empty language")
-    return dead[0] if dead else None
 
 
 class TrimReport(NamedTuple):

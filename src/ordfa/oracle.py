@@ -51,9 +51,9 @@ def naive_check(m: Dfa) -> CheckResult:
     """Well-order check on a reachability closure table (the bitmasks
     of `_closure`) instead of strong components.  Same verdict and
     witness as `check`: q fails when its 0-edge leads back to q.
-    The sink is taken by its shape, not from `sink_of`, so the routes
-    share no liveness pass: in a trim automaton the one dead state is
-    the non-final state whose two edges both loop to itself."""
+    The sink is taken by its shape, not from `m.analysis`, so the
+    routes share no liveness pass: in a trim automaton the one dead
+    state is the non-final state whose two edges both loop to itself."""
     ensure_trim(m)
     snk = next(
         (q for q, (a, b) in enumerate(m.delta) if a == b == q and q not in m.finals),

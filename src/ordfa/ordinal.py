@@ -74,9 +74,7 @@ class Ordinal:
 
     @classmethod
     def from_int(cls, n: int) -> "Ordinal":
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise ValueError(f"coefficients must be naturals, got {n!r}")
-        return cls((n,)) if n else cls()
+        return cls((n,))
 
     @classmethod
     def omega(cls) -> "Ordinal":
@@ -199,7 +197,7 @@ def _coerce(other):
     if isinstance(other, Ordinal):
         return other
     if isinstance(other, int) and not isinstance(other, bool) and other >= 0:
-        return Ordinal.from_int(other)
+        return _normal((other,)) if other else _ZERO
     return NotImplemented
 
 

@@ -1,23 +1,23 @@
 """Exact order types of well-ordered regular languages over {0, 1}.
 
 Every state's language gets an ordinal below w^w, computed bottom-up
-over the strong components.  The sink is 0.  A non-recursive state q
-contributes [q final] + type(q.0) + type(q.1), matching the split of
-its language into the empty word, the 0-branch and the 1-branch.  A
-recursive state's language splits into laps of its cycle, so its type
-is lap*w = w^(deg lap + 1): only the lap's degree matters.  A lap's
-type is the rank formula along the cycle, one for each final state
-passed plus the type of the 0-exit wherever the cycle reads a 1.
-Where a passing cycle reads a 0, its 1-exit is the sink (type 0).  So
-the lap's degree is d, the largest degree among the types of the
-cycle's exits, and the state's type is w^(1 + d).
+over the strong components.  A dead state is 0.  A non-recursive
+state q contributes [q final] + type(q.0) + type(q.1), matching the
+split of its language into the empty word, the 0-branch and the
+1-branch.  A recursive state's language splits into laps of its
+cycle, so its type is lap*w = w^(deg lap + 1): only the lap's degree
+matters.  A lap's type is the rank formula along the cycle, one for
+each final state passed plus the type of the 0-exit wherever the
+cycle reads a 1.  Where a passing cycle reads a 0, its 1-exit is the
+sink (type 0).  So the lap's degree is d, the largest degree among
+the types of the cycle's exits, and the state's type is w^(1 + d).
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .dfa import Dfa, sink_of, validate_word
+from .dfa import Dfa, validate_word
 from .ordinal import Ordinal
 from .wellorder import Witness, check
 
@@ -53,8 +53,7 @@ def order_type(m: Dfa) -> OrderTypeTable:
     if not result.well_ordered:
         raise NotWellOrderedError(result.witness)
     delta = m.delta
-    snk = sink_of(m)
-    ids = m.analysis.component_of
+    ids, live = m.analysis.component_of, m.analysis.live
     types: list[Ordinal | None] = [None] * m.state_count
     prev = None
     # Every transition out of a strong component leads to a smaller
@@ -67,7 +66,7 @@ def order_type(m: Dfa) -> OrderTypeTable:
             # Every rotation of a lap passes the same exits, so one
             # type serves the whole component.
             t = types[prev]
-        elif q == snk:
+        elif not live[q]:
             t = Ordinal.zero()
         elif ids[a] == cid or ids[b] == cid:  # q lies on a cycle
             # A passing cycle is simple: walk its one in-component edge

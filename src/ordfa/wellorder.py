@@ -1,10 +1,10 @@
 """Deciding whether the language of a trim DFA is well-ordered.
 
-The language fails to be well-ordered exactly when some non-sink state
-q can read a 0 and stay inside its own strong component while its
-1-edge still leads somewhere live.  Such a q yields the descending
-chain access (0 loop)^n 1 tail of accepted words; conversely every
-descending chain produces such a state.
+The language fails to be well-ordered exactly when some state q can
+read a 0 and stay in its own strong component while its 1-edge leads
+to a live state (in a trim automaton, one that is not the sink).  Such
+a q yields the descending chain access (0 loop)^n 1 tail of accepted
+words; conversely every descending chain produces such a state.
 """
 
 from __future__ import annotations
@@ -58,20 +58,18 @@ def check(m: Dfa) -> CheckResult:
     """Decide well-orderedness of L(m) for trim m.
 
     This is the one place the rule is applied (`ordtype.order_type`
-    decides through here): state q fails when it is not the sink, q and
-    q.0 share a strong component, and q.1 is not the sink.  It needs
-    only the sink and the strong-component ids of `m.analysis` (one
-    Tarjan pass per automaton, no condensation).  The reported witness
-    is at the smallest failing state index.
+    decides through here): state q fails when q.1 is live, which makes
+    q live, and q and q.0 share a strong component.  It needs only the
+    live flags and the strong-component ids of `m.analysis` (one Tarjan
+    pass per automaton, no condensation).  The reported witness is at
+    the smallest failing state index.
     """
     a = m.analysis
-    dead = a.dead
-    if a.unreachable or len(dead) > 1:
+    if a.unreachable or len(a.dead) > 1:
         ensure_trim(m)  # raises NotTrimError
-    sink = dead[0] if dead else None
-    ids = a.component_of
+    ids, live = a.component_of, a.live
     for q, (on0, on1) in enumerate(m.delta):
-        if q != sink and on1 != sink and ids[q] == ids[on0]:
+        if live[on1] and ids[q] == ids[on0]:
             return CheckResult(False, build_witness(m, q))
     return CheckResult(True, None)
 

@@ -310,13 +310,24 @@ def test_dot(automaton_file, capsys):
     assert out == render_dot(M_ONESTAR)
     assert out.startswith("digraph automaton {")
     assert '    q0 [shape=doublecircle];' in out
-    assert "style=filled" in out
+    assert [line for line in out.splitlines() if "style=filled" in line] == [
+        "    q1 [shape=circle, style=filled, fillcolor=lightgrey];"
+    ]
     assert 'label="C0 (height 0)";' in out
     assert 'label="C1 (height 1)";' in out
     assert "  __start -> q0;" in out
     assert '  q1 -> q1 [label="0,1"];' in out
     assert '  q0 -> q1 [label="0"];' in out
     assert '  q0 -> q0 [label="1"];' in out
+
+
+@pytest.mark.parametrize("m, filled", [
+    (Dfa(((0, 0),), 0, {0}), []),  # no sink
+    (Dfa(((1, 2), (1, 1), (2, 2)), 0, {0}), [1, 2]),  # not trim: two dead states
+])
+def test_render_dot_fills_exactly_the_dead_states(m, filled):
+    lines = [line for line in render_dot(m).splitlines() if "style=filled" in line]
+    assert lines == [f"    q{q} [shape=circle, style=filled, fillcolor=lightgrey];" for q in filled]
 
 
 ###############################################################################

@@ -11,13 +11,11 @@ from ordfa import dfa, lexorder, oracle, ordtype, wellorder
 from ordfa.dfa import (
     Dfa,
     DfaFormatError,
-    MultipleSinksError,
     analyze,
     condense,
     from_json,
     is_trim,
     shortest_word,
-    sink_of,
     to_json,
     trim,
 )
@@ -102,12 +100,20 @@ def _bad_target_cases():
         (((0, 0), (0, 0)), True, (), "bad start state True"),
         (((0, 0), (0, 0)), 0, (1, 2), "bad final state 2"),
         (((0, 0), (0, 0)), 0, [False], "bad final state False"),
+        (((0, 0), 5), 0, (), "state 1 must have exactly two transitions"),
+        ((None, (0, 0)), 0, (), "state 0 must have exactly two transitions"),
     ],
 )
 def test_dfa_names_the_first_bad_value(delta, start, finals, message):
     with pytest.raises(ValueError) as info:
         Dfa(delta=delta, start=start, finals=finals)
     assert str(info.value) == message
+
+
+def test_dfa_names_no_state_of_an_iterator_it_has_partly_read():
+    # Reading on from the bad row would call the None row state 0.
+    with pytest.raises(TypeError):
+        Dfa(iter([(0, 0), 5, None]), 0, ())
 
 
 ###############################################################################
@@ -133,7 +139,7 @@ def test_trim_identity_on_trim_automaton():
         assert report.trimmed == m
         assert report.removed_unreachable == frozenset()
         assert report.merged_into_sink == frozenset()
-        assert report.sink == sink_of(m)
+        assert m.analysis.dead == (() if report.sink is None else (report.sink,))
 
 
 def test_trim_of_a_trim_automaton_is_the_automaton_itself():
@@ -150,7 +156,7 @@ def test_trim_merges_two_dead_states():
     report = trim(m)
     t = report.trimmed
     assert t.state_count == 2
-    assert sink_of(t) == report.sink == 1
+    assert t.analysis.dead == (report.sink,) == (1,)
     assert t.delta == ((1, 1), (1, 1))  # both dead states became the sink
     assert report.merged_into_sink == frozenset({2})
     assert report.removed_unreachable == frozenset()
@@ -504,20 +510,14 @@ def test_memos_leave_equality_and_hash_alone():
 
 
 ###############################################################################
-# sink_of
+# the sink
 ###############################################################################
 
 
-def test_sink_of_examples():
-    assert sink_of(M_ONESTAR) == 1
-    assert sink_of(M_CYCLE2) == 3
-    assert sink_of(Dfa(delta=((0, 0),), start=0, finals=frozenset({0}))) is None
-
-
-def test_sink_of_multiple_sinks():
-    m = Dfa(delta=((1, 2), (1, 1), (2, 2)), start=0, finals=frozenset())
-    with pytest.raises(MultipleSinksError):
-        sink_of(m)
+def test_the_sink_is_the_dead_state():
+    for m, sink in ((M_ONESTAR, 1), (M_CYCLE2, 3), (Dfa(((0, 0),), 0, {0}), None)):
+        assert trim(m).sink == sink
+        assert m.analysis.dead == (() if sink is None else (sink,))
 
 
 def test_shortest_word_prefers_zero():

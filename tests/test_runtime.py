@@ -15,3 +15,8 @@ def test_runtime_imports_only_the_standard_library():
                 names.add(node.module.split(".")[0])
     assert names, "no absolute import found; is the package where it should be?"
     assert names <= sys.stdlib_module_names, names - sys.stdlib_module_names
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in ordfa.__all__ if not hasattr(ordfa, name)]
+    assert not missing, missing
