@@ -72,8 +72,8 @@ MUTANTS = [
      "        if live[on1] and ids[q] == ids[on0]:",
      "        if ids[q] == ids[on0]:"),
     ("live-rule-ignores-the-1-edge", "src/ordfa/dfa.py",
-     "                    is_live = w in finals or live[a] or live[b]",
-     "                    is_live = w in finals or live[a]"),
+     "                            is_live = w in finals or live[a] or live[b]",
+     "                            is_live = w in finals or live[a]"),
     ("rank-keeps-the-count-at-an-infinite-exit", "src/ordfa/ordtype.py",
      "                n = 0",
      "                pass"),
@@ -144,11 +144,11 @@ MUTANTS = [
      "            if not (type(a) is int and type(b) is int and 0 <= a < n and 0 <= b < n):",
      "            if not (type(a) is int and type(b) is int and 0 <= a < n):"),
     ("walk-does-not-pass-low-up", "src/ordfa/dfa.py",
-     "                    low[u] = lv",
-     "                    pass"),
+     "                low = lv",
+     "                pass"),
     ("trim-lists-removed-states-only-with-dead-ones", "src/ordfa/dfa.py",
-     "    if a.unreachable:  # else no id is `reached` or above",
-     "    if a.dead:  # else no id is `reached` or above"),
+     "    return TrimReport(trimmed, frozenset(removed), frozenset(merged), sink)",
+     "    return TrimReport(trimmed, frozenset(removed if a.dead else ()), frozenset(merged), sink)"),
     ("check-takes-several-dead-states", "src/ordfa/wellorder.py",
      "    if a.unreachable or len(a.dead) > 1:",
      "    if a.unreachable:"),
@@ -164,6 +164,15 @@ MUTANTS = [
     ("coerce-keeps-a-zero-coefficient", "src/ordfa/ordinal.py",
      "        return _normal((other,)) if other else _ZERO",
      "        return _normal((other,))"),
+    ("one-state-component-ignores-the-1-edge", "src/ordfa/dfa.py",
+     "                    if v in finals or live[a] or live[b]:",
+     "                    if v in finals or live[a]:"),
+    ("one-state-component-stays-visible-to-the-low-test", "src/ordfa/dfa.py",
+     "                    index[v] = done",
+     "                    pass"),
+    ("trim-renumbers-only-past-one-merged-state", "src/ordfa/dfa.py",
+     "    if merged:",
+     "    if len(merged) > 1:"),
 ]
 
 

@@ -43,7 +43,8 @@ class Dfa:
     """Complete DFA over {0,1}: transition table, start state, final states.
 
     `delta[q]` is the pair (target on 0, target on 1).  A state is an
-    int (not a bool) in range(n); ValueError names the first bad value.
+    int (not a bool) in range(n); ValueError names the first bad value,
+    and is also what a delta or finals that cannot be read raises.
     The package's one dataclass, for its memo; other records are
     NamedTuples.
     """
@@ -56,15 +57,11 @@ class Dfa:
         try:
             rows = tuple(map(tuple, delta))
         except TypeError:
-            # Name the first row that is not a sequence, unless delta is
-            # an iterator, which the attempt has partly used up.
-            for q, row in enumerate(delta if iter(delta) is not delta else ()):
-                try:
-                    tuple(row)
-                except TypeError:
-                    raise ValueError(f"state {q} must have exactly two transitions") from None
-            raise
-        finals = list(finals)
+            raise ValueError(_bad_rows(delta)) from None
+        try:
+            finals = list(finals)
+        except TypeError:
+            raise ValueError("finals must be a collection of state indices") from None
         n = len(rows)
         if n == 0:
             raise ValueError("an automaton needs at least one state")
@@ -128,6 +125,22 @@ class Dfa:
         return analyze(self)
 
 
+def _bad_rows(delta) -> str:
+    """Message for a delta that is not a sequence of rows: it names the
+    first row that is not a sequence, unless delta is an iterator,
+    which the failed read has partly used up, or is not iterable."""
+    try:
+        if iter(delta) is not delta:
+            for q, row in enumerate(delta):
+                try:
+                    tuple(row)
+                except TypeError:
+                    return f"state {q} must have exactly two transitions"
+    except TypeError:
+        pass
+    return "delta must be a sequence of [on0, on1] pairs"
+
+
 def _bad_letter(word: str) -> str:
     """Message naming the first letter of word that is not 0 or 1."""
     i, ch = next((i, ch) for i, ch in enumerate(word) if ch not in _BIT)
@@ -165,64 +178,73 @@ def analyze(m: Dfa) -> Analysis:
     one pass of Tarjan's algorithm (Tarjan 1972, SIAM J. Comput. 1(2)).
 
     The pass starts at the start state, then at each state not yet
-    visited, so every state gets an id and a live flag.  A component is
-    emitted only after every component it leads to, so it is live
-    exactly when it holds a final state or has an edge into a live
-    component emitted before it.  The components emitted from the start
-    are the ones it reaches.  Iterative, so deep transition chains
-    cannot overflow the Python stack: the walk goes back up through
-    `parent`, the state each state was entered from.
+    visited, in ascending order, so every state gets an id and a live
+    flag.  A component is emitted only after every component it leads
+    to, so it is live exactly when it holds a final state or has an
+    edge into a live component emitted before it.  The components
+    emitted from the start are the ones it reaches.
+
+    Iterative, so deep transition chains cannot overflow the Python
+    stack: the state being walked, its low value and its next edge are
+    locals, and a path stack holds the three for each ancestor.  As in
+    Nuutila and Soisalon-Soininen ("On finding the strongly connected
+    components in a directed graph", IPL 49(1), 1994), a finished state
+    goes on the component stack only when it is not its component's
+    root, so a one-state component, most of them, is emitted without a
+    list of members.  An emitted state's visit number becomes n + 1,
+    above any low value, so a visited state is still unemitted exactly
+    when its number is below the low value it is compared with.
     """
     delta, finals = m.delta, m.finals
     n = len(delta)
-    index = [0] * n  # visit number, 0 while unvisited
-    low = [0] * n
-    comp_of = [-1] * n  # -1 while unvisited or still on the stack
+    done = n + 1
+    index = [0] * n  # visit number: 0 while unvisited, `done` once emitted
+    comp_of = [0] * n
     live = [False] * n
-    next_edge = [0] * n
-    parent = [-1] * n  # the state the walk entered a state from
-    stack: list[int] = []
+    path: list[tuple[int, int, int]] = []  # (state, low, next edge) per ancestor
+    stack: list[int] = []  # finished non-roots not yet emitted
     dead: list[int] = []
-    counter = k = 0
+    counter = k = cursor = 0
     reached = unreachable = -1
-    for root in (m.start, *range(n)):
-        if index[root]:
-            continue
+    v = m.start
+    while True:
         counter += 1
-        index[root] = low[root] = counter
-        stack.append(root)
-        v = root
-        while v >= 0:
-            row = delta[v]
-            i = next_edge[v]
+        index[v] = low = counter
+        row = delta[v]
+        i = 0
+        while True:
             while i < 2:
                 w = row[i]
                 i += 1
-                if not index[w]:
-                    next_edge[v] = i
+                x = index[w]
+                if not x:
+                    path.append((v, low, i))
                     counter += 1
-                    index[w] = low[w] = counter
-                    stack.append(w)
-                    parent[w] = v
-                    v = w
-                    break
-                if comp_of[w] < 0 and index[w] < low[v]:
-                    low[v] = index[w]
-            else:  # both edges done: v is finished
-                lv = low[v]
-                if lv == index[v]:
-                    # Emit v's component: v and the states above it on the
-                    # stack.  Their own live flags are still False, so
-                    # only finals and edges into earlier components count.
-                    w = stack.pop()
-                    comp_of[w] = k
-                    a, b = delta[w]
-                    is_live = w in finals or live[a] or live[b]
-                    members = [w]
-                    while w != v:
-                        w = stack.pop()
+                    index[w] = low = counter
+                    v, row, i = w, delta[w], 0
+                elif x < low:
+                    low = x
+            # Both edges done: v is finished.
+            if low == index[v]:
+                # Emit v's component: v and the states on the stack
+                # visited after it.  Their own live flags are still False,
+                # so only finals and edges into earlier components count.
+                if not stack or index[stack[-1]] < low:  # v alone
+                    comp_of[v] = k
+                    index[v] = done
+                    a, b = row
+                    if v in finals or live[a] or live[b]:
+                        live[v] = True
+                    else:
+                        dead.append(v)
+                else:
+                    members = [v]
+                    while stack and index[stack[-1]] > low:
+                        members.append(stack.pop())
+                    is_live = False
+                    for w in members:
                         comp_of[w] = k
-                        members.append(w)
+                        index[w] = done
                         if not is_live:
                             a, b = delta[w]
                             is_live = w in finals or live[a] or live[b]
@@ -231,13 +253,23 @@ def analyze(m: Dfa) -> Analysis:
                             live[w] = True
                     else:
                         dead += members
-                    k += 1
-                u = parent[v]  # -1 at the root: the walk is over
-                if u >= 0 and lv < low[u]:
-                    low[u] = lv
-                v = u
+                k += 1
+            else:  # v's component has an older root
+                stack.append(v)
+            if not path:  # v is the root: the walk is over
+                break
+            lv = low
+            v, low, i = path.pop()
+            if lv < low:
+                low = lv
+            row = delta[v]
         if reached < 0:  # the pass from the start is over
             reached, unreachable = k, n - counter
+        if counter == n:
+            break
+        while index[cursor]:
+            cursor += 1
+        v = cursor
     dead.sort()
     return Analysis(tuple(comp_of), tuple(live), reached, tuple(dead), unreachable)
 
@@ -287,78 +319,75 @@ def trim(m: Dfa) -> TrimReport:
     dead state, which is when the pass on m emitted that state's whole
     dead subtree, since dead states lead only to dead states.
 
+    One loop puts each state of m in one of four groups: removed
+    (unreachable), kept (reached and live), the sink (the least
+    reached dead state) or merged into the sink.  The ids are those of
+    `analyze`'s pass, Tarjan's with the refinements of Nuutila and
+    Soisalon-Soininen, which number components by emission just as
+    Tarjan's does.  They are renumbered only when a dead state was
+    merged: otherwise every reached component keeps a state, and no
+    id disappears.
+
     A trim m maps to itself, so then the result is m itself, with
     nothing removed or merged.
     """
     a = m.analysis
     if not a.unreachable and len(a.dead) <= 1:  # m is trim
-        return TrimReport(
-            trimmed=m,
-            removed_unreachable=frozenset(),
-            merged_into_sink=frozenset(),
-            sink=a.dead[0] if a.dead else None,
-        )
+        return TrimReport(m, frozenset(), frozenset(), a.dead[0] if a.dead else None)
     ids, live, reached = a.component_of, a.live, a.reached
-    dead = [q for q in a.dead if ids[q] < reached]  # ascending
-    # New id of each reached component: ids up to the first dead one
-    # stay, later dead ones join it, and later live ones close the gaps.
-    renum = list(range(reached))
+    removed, kept, merged = [], [], []
+    new_of = [-1] * len(ids)
+    sink = None
+    for q, j in enumerate(ids):
+        if j >= reached:
+            removed.append(q)
+        elif live[q]:
+            new_of[q] = len(kept)
+            kept.append(q)
+        elif sink is None:
+            new_of[q] = sink = len(kept)
+            kept.append(q)
+        else:
+            merged.append(q)
+    for q in merged:
+        new_of[q] = sink
+    component_of = [ids[q] for q in kept]
     components = reached
-    if dead:
-        dead_ids = {ids[q] for q in dead}
+    if merged:
+        # Merging empties the components of the merged states, unless
+        # they share the sink's.  Ids up to the first dead one stay,
+        # later dead ones join it, and later live ones close the gaps.
+        dead_ids = {ids[q] for q in merged}
+        dead_ids.add(component_of[sink])
         first = k = min(dead_ids)
+        renum = list(range(reached))
         for j in range(first + 1, reached):
             if j in dead_ids:
                 renum[j] = first
             else:
                 k += 1
                 renum[j] = k
+        component_of = [renum[j] for j in component_of]
         components = k + 1
-    # Keep the reached live states and the least dead one, the sink, in
-    # their order; the other dead states land on the sink.
-    sink_rep = dead[0] if dead else -1
-    sink = None
-    kept, component_of = [], []
-    new_of = [-1] * len(ids)
-    for q, j in enumerate(ids):
-        if j < reached:
-            if live[q]:
-                new_of[q] = len(kept)
-            elif q == sink_rep:
-                new_of[q] = sink = len(kept)
-            else:
-                continue
-            kept.append(q)
-            component_of.append(renum[j])
-    for q in dead[1:]:
-        new_of[q] = sink
 
     # The sink's edges lead to dead states, so they become its own loops.
     delta = m.delta
     new_live = [True] * len(kept)
-    if dead:
+    if sink is not None:
         new_live[sink] = False
-    removed = frozenset()
-    if a.unreachable:  # else no id is `reached` or above
-        removed = frozenset([q for q, j in enumerate(ids) if j >= reached])
     trimmed = Dfa._unchecked(
-        delta=tuple([(new_of[s0], new_of[s1]) for s0, s1 in map(delta.__getitem__, kept)]),
-        start=new_of[m.start],
-        finals=frozenset([new_of[q] for q in m.finals if ids[q] < reached]),
-        analysis=Analysis(
-            component_of=tuple(component_of),
-            live=tuple(new_live),
-            reached=components,
-            dead=(sink,) if dead else (),
-            unreachable=0,
+        tuple([(new_of[s0], new_of[s1]) for s0, s1 in map(delta.__getitem__, kept)]),
+        new_of[m.start],
+        frozenset([new_of[q] for q in m.finals if ids[q] < reached]),
+        Analysis(
+            tuple(component_of),
+            tuple(new_live),
+            components,
+            () if sink is None else (sink,),
+            0,
         ),
     )
-    return TrimReport(
-        trimmed=trimmed,
-        removed_unreachable=removed,
-        merged_into_sink=frozenset(dead[1:]),
-        sink=sink,
-    )
+    return TrimReport(trimmed, frozenset(removed), frozenset(merged), sink)
 
 
 class Condensation(NamedTuple):

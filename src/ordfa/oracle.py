@@ -307,6 +307,35 @@ def _is_normal(t: Ordinal) -> bool:
         return False
 
 
+def _analysis_matches_closure(m: Dfa) -> bool:
+    """Whether `m.analysis` says what the closure table of `_closure`
+    says: the live flags and dead states, which states the start
+    reaches, equal ids exactly where two states reach each other, and
+    no edge to a larger id."""
+    a = m.analysis
+    ids = a.component_of
+    n = m.state_count
+    # The states each state reaches in zero or more steps.
+    below = [(1 << q) | c for q, c in enumerate(_closure(m.delta))]
+    finals = sum(1 << q for q in m.finals)
+    if a.live != tuple(bool(b & finals) for b in below):
+        return False
+    if a.dead != tuple(q for q in range(n) if not a.live[q]):
+        return False
+    reach = below[m.start]
+    if a.unreachable != n - reach.bit_count():
+        return False
+    if any((ids[q] < a.reached) != bool(reach >> q & 1) for q in range(n)):
+        return False
+    for p, (on0, on1) in enumerate(m.delta):
+        if ids[on0] > ids[p] or ids[on1] > ids[p]:
+            return False
+        for q in range(p + 1, n):
+            if (ids[p] == ids[q]) != bool(below[p] >> q & below[q] >> p & 1):
+                return False
+    return True
+
+
 def _examine(m: Dfa):
     """Run the differential checks on one automaton.
 
@@ -320,6 +349,8 @@ def _examine(m: Dfa):
     # also the one every later read gets: a memo, not a pass per read.
     if m.analysis is not m.analysis or m.analysis != analyze(m):
         return verdict, checks, "analysis-disagreement"
+    if not _analysis_matches_closure(m):
+        return verdict, checks, "analysis-closure"
     if (fast.well_ordered, fast.witness) != (slow.well_ordered, slow.witness):
         return verdict, checks, "check-disagreement"
     checks += 1
@@ -368,13 +399,14 @@ def _examine(m: Dfa):
 
 
 def fuzz(seeds: int, states: int, *, exhaustive: bool = False) -> FuzzReport:
-    """Differential sweep: the memoized analysis against a fresh pass,
-    fast check against naive check, witnesses replayed to completion
-    and compared with the least shortest words, and on well-ordered
-    cases the order-type invariants (types in normal form, height bound,
-    no type above the start's, component constancy, and on every word
-    of at most RANK_CHECK_LEN letters rank consistency, with ranks that
-    strictly increase in word order).
+    """Differential sweep: the memoized analysis against a fresh pass
+    and against the reachability closure, fast check against naive
+    check, witnesses replayed to completion and compared with the
+    least shortest words, and on well-ordered cases the order-type
+    invariants (types in normal form, height bound, no type above the
+    start's, component constancy, and on every word of at most
+    RANK_CHECK_LEN letters rank consistency, with ranks that strictly
+    increase in word order).
 
     Seeded mode generates `seeds` random automata and reports one case
     per seed.  Exhaustive mode walks every trim automaton with at most

@@ -112,8 +112,27 @@ def test_dfa_names_the_first_bad_value(delta, start, finals, message):
 
 def test_dfa_names_no_state_of_an_iterator_it_has_partly_read():
     # Reading on from the bad row would call the None row state 0.
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError) as info:
         Dfa(iter([(0, 0), 5, None]), 0, ())
+    assert str(info.value) == "delta must be a sequence of [on0, on1] pairs"
+
+
+@pytest.mark.parametrize(
+    "delta, start, finals, message",
+    [
+        (5, 0, [], "delta must be a sequence of [on0, on1] pairs"),
+        (iter([(0, 0), 5]), 0, [], "delta must be a sequence of [on0, on1] pairs"),
+        ([(0, 0)], 0, 5, "finals must be a collection of state indices"),
+    ],
+)
+def test_dfa_raises_value_error_for_a_delta_or_finals_it_cannot_read(
+    delta, start, finals, message
+):
+    with pytest.raises(ValueError) as info:
+        Dfa(delta, start, finals)
+    assert str(info.value) == message
+    # Raised from None: no second copy of the TypeError behind it.
+    assert info.value.__cause__ is None and info.value.__suppress_context__
 
 
 ###############################################################################
@@ -451,6 +470,73 @@ def test_analysis_matches_plain_searches(m):
 def test_analysis_matches_plain_searches_on_all_tiny_automata():
     for m in _all_tiny_automata():
         _assert_analysis_matches_plain_searches(m)
+
+
+def _recursive_tarjan(m):
+    """The `Analysis` of m by the textbook recursive Tarjan pass: edge 0
+    before edge 1, and roots the start, then every unvisited state in
+    ascending order.  Component ids count emissions."""
+    n = m.state_count
+    index, low = {}, {}
+    stack, on_stack = [], set()
+    comp_of, live = [None] * n, [False] * n
+    emitted = 0
+
+    def visit(v):
+        nonlocal emitted
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        on_stack.add(v)
+        for w in m.delta[v]:
+            if w not in index:
+                visit(w)
+                low[v] = min(low[v], low[w])
+            elif w in on_stack:
+                low[v] = min(low[v], index[w])
+        if low[v] == index[v]:
+            members = [stack.pop()]
+            while members[-1] != v:
+                members.append(stack.pop())
+            on_stack.difference_update(members)
+            # Members' own flags are still False: only finals and edges
+            # into earlier components count.
+            is_live = any(q in m.finals or live[a] or live[b]
+                          for q in members for a, b in [m.delta[q]])
+            for q in members:
+                comp_of[q] = emitted
+                live[q] = is_live
+            emitted += 1
+
+    visit(m.start)
+    reached, unreachable = emitted, n - len(index)
+    for root in range(n):
+        if root not in index:
+            visit(root)
+    dead = tuple(q for q in range(n) if not live[q])
+    return dfa.Analysis(tuple(comp_of), tuple(live), reached, dead, unreachable)
+
+
+def test_analysis_numbering_matches_recursive_tarjan_on_all_tiny_automata():
+    for m in _all_tiny_automata():
+        assert analyze(m) == _recursive_tarjan(m), m
+
+
+@settings(max_examples=300)
+@given(raw_dfas())
+def test_analysis_numbering_matches_recursive_tarjan(m):
+    assert analyze(m) == _recursive_tarjan(m)
+
+
+def test_analysis_of_a_long_0_chain():
+    # State i reads 0 to i + 1 and 1 to the final last state, which
+    # loops: the walk goes 100,000 states deep without recursion, and
+    # emits the last state first.
+    n = 100_000
+    last = n - 1
+    delta = tuple((i + 1, last) for i in range(last)) + ((last, last),)
+    a = analyze(Dfa(delta, 0, {last}))
+    assert a.component_of == tuple(n - 1 - i for i in range(n))
+    assert a == dfa.Analysis(a.component_of, (True,) * n, n, (), 0)
 
 
 ###############################################################################

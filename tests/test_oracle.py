@@ -279,6 +279,31 @@ def test_examine_flags_an_analysis_that_a_fresh_pass_does_not_find():
     assert _examine(m) == ("not-well-ordered", 0, "analysis-disagreement")
 
 
+_CYCLE2_ANALYSIS = analyze(M_CYCLE2)  # ids (2, 2, 1, 0), 3 reached, sink 3
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        _CYCLE2_ANALYSIS._replace(dead=()),
+        _CYCLE2_ANALYSIS._replace(reached=2),
+        # the cycle 0 <-> 1 split, so its 1 -> 0 edge leads up
+        _CYCLE2_ANALYSIS._replace(component_of=(3, 2, 1, 0), reached=4),
+        # the final state 2 and the sink 3 in one component
+        _CYCLE2_ANALYSIS._replace(component_of=(1, 1, 0, 0), reached=2),
+        # every edge leads up
+        _CYCLE2_ANALYSIS._replace(component_of=(0, 0, 1, 2)),
+    ],
+)
+def test_examine_flags_an_analysis_that_the_closure_contradicts(monkeypatch, wrong):
+    # A fresh pass that agrees with the wrong memo leaves the closure
+    # table as the only judge.
+    m = Dfa(delta=M_CYCLE2.delta, start=M_CYCLE2.start, finals=M_CYCLE2.finals)
+    vars(m)["analysis"] = wrong
+    monkeypatch.setattr(oracle, "analyze", lambda m: m.analysis)
+    assert _examine(m)[1:] == (0, "analysis-closure")
+
+
 def test_examine_flags_an_analysis_that_is_not_kept(monkeypatch):
     # A plain property runs a fresh pass on every read: each result is
     # right, but it is not the memo that trim hands over.
