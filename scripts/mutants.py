@@ -51,8 +51,8 @@ MUTANTS = [
      "    if not a.unreachable and len(a.dead) <= 1:  # m is trim",
      "    if not a.unreachable and len(a.dead) <= 2:  # m is trim"),
     ("condense-frees-a-mask-at-its-first-reader", "src/ordfa/dfa.py",
-     "                    if last[jt] == j:",
-     "                    if last[jt] >= j:"),
+     "                if last[jt] == j:",
+     "                if last[jt] >= j:"),
     ("format-keeps-ascending-terms", "src/ordfa/ordinal.py",
      "        parts.reverse()",
      "        pass"),
@@ -159,8 +159,8 @@ MUTANTS = [
      "        if live[on1] and ids[q] == ids[on0]:",
      "        if live[on0] and ids[q] == ids[on0]:"),
     ("dot-greys-the-live-states", "src/ordfa/cli.py",
-     "            if not live[q]:",
-     "            if live[q]:"),
+     '            fill = "" if live[q] else ", style=filled, fillcolor=lightgrey"',
+     '            fill = "" if not live[q] else ", style=filled, fillcolor=lightgrey"'),
     ("coerce-keeps-a-zero-coefficient", "src/ordfa/ordinal.py",
      "        return _normal((other,)) if other else _ZERO",
      "        return _normal((other,))"),
@@ -173,6 +173,21 @@ MUTANTS = [
     ("trim-renumbers-only-past-one-merged-state", "src/ordfa/dfa.py",
      "    if merged:",
      "    if len(merged) > 1:"),
+    ("condense-skips-an-exit-it-shares-a-bit-with", "src/ordfa/dfa.py",
+     "                if common == u:  # u adds nothing",
+     "                if common:  # u adds nothing"),
+    ("condense-takes-a-covering-mask-without-its-bit", "src/ordfa/dfa.py",
+     "                    h = heights[jt] + 1",
+     "                    h = heights[jt]"),
+    ("condense-counts-a-union-as-its-larger-part", "src/ordfa/dfa.py",
+     "                    h = mask.bit_count()",
+     "                    h = max(h, heights[jt] + 1)"),
+    ("dfa-equality-ignores-the-finals", "src/ordfa/dfa.py",
+     "        return (self.delta, self.start, self.finals) == (other.delta, other.start, other.finals)",
+     "        return (self.delta, self.start) == (other.delta, other.start)"),
+    ("dfa-hash-ignores-the-finals", "src/ordfa/dfa.py",
+     "        return hash((self.delta, self.start, self.finals))",
+     "        return hash((self.delta, self.start))"),
 ]
 
 

@@ -1,6 +1,6 @@
 """Well-ordering analysis and ordinal order types for binary DFAs."""
 
-from .dfa import Dfa, Condensation, TrimReport, condense, from_json, is_trim, load
+from .dfa import Dfa, Condensation, TrimReport, condense, from_json, load
 from .dfa import dump, to_json, trim
 from .lexorder import (
     ChainAnalysis,
@@ -39,7 +39,6 @@ __all__ = [
     "extract_strict_chain",
     "format_ordinal",
     "from_json",
-    "is_trim",
     "iter_words",
     "load",
     "min_word",

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import os
 import reprlib
 import sys
 
-from . import dfa, lexorder, oracle, ordinal, ordtype, wellorder
+from . import dfa, lexorder, ordinal, ordtype, wellorder
 from .synth import synth as synthesize
 
 EXIT_OK = 0
@@ -225,33 +226,31 @@ def _cmd_dot(args) -> int:
 def render_dot(m: dfa.Dfa) -> str:
     """Graphviz text for the automaton, states clustered by strong
     component (labeled with the component's height), dead states filled
-    grey: the one sink of a trim automaton, every dead state of another."""
+    grey: the one sink of a trim automaton, every dead state of another.
+    One f-string per cluster head, per state and per row of the table."""
     cond = dfa.condense(m)
-    live = m.analysis.live
+    height_of, live, finals = cond.height_of, m.analysis.live, m.finals
     lines = [
         "digraph automaton {",
         "  rankdir=LR;",
         '  __start [shape=point, label=""];',
     ]
     for cid, members in enumerate(cond.components):
-        lines.append(f"  subgraph cluster_{cid} {{")
-        h = cond.height_of[members[0]]
-        lines.append(f'    label="C{cid} (height {h})";')
+        lines.append(
+            f"  subgraph cluster_{cid} {{\n"
+            f'    label="C{cid} (height {height_of[members[0]]})";'
+        )
         for q in members:
-            attrs = ["shape=doublecircle" if q in m.finals else "shape=circle"]
-            if not live[q]:
-                attrs.append("style=filled")
-                attrs.append("fillcolor=lightgrey")
-            lines.append(f"    q{q} [{', '.join(attrs)}];")
+            shape = "doublecircle" if q in finals else "circle"
+            fill = "" if live[q] else ", style=filled, fillcolor=lightgrey"
+            lines.append(f"    q{q} [shape={shape}{fill}];")
         lines.append("  }")
     lines.append(f"  __start -> q{m.start};")
-    for q in range(m.state_count):
-        a, b = m.delta[q]
+    for q, (a, b) in enumerate(m.delta):
         if a == b:
             lines.append(f'  q{q} -> q{a} [label="0,1"];')
         else:
-            lines.append(f'  q{q} -> q{a} [label="0"];')
-            lines.append(f'  q{q} -> q{b} [label="1"];')
+            lines.append(f'  q{q} -> q{a} [label="0"];\n  q{q} -> q{b} [label="1"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -262,6 +261,8 @@ def _cmd_fuzz(args) -> int:
     seeds = 100 if args.seeds is None else args.seeds
     if seeds < 0:
         raise InputError(f"--seeds must be at least 0, got {seeds}")
+    from . import oracle  # only `fuzz` needs it: not loaded at start-up
+
     report = oracle.fuzz(seeds, args.states, exhaustive=args.exhaustive)
     sys.stdout.write(report.to_tsv())
     return EXIT_OK if report.ok else EXIT_FUZZ_FAILED
@@ -400,6 +401,13 @@ def _print_error(message: str) -> None:
 
 
 def main(argv=None) -> int:
+    # A command builds large acyclic structures (the parsed file, its
+    # analysis, its tables) that the cyclic garbage collector would scan
+    # again and again while they grow; a run leaves no cycles but its
+    # argument parser's.  So the collector is off for the run, and is
+    # switched back on for a caller that had it on.
+    collecting = gc.isenabled()
+    gc.disable()
     # Inputs are read through `_load` and `_read_chain`, which turn read
     # errors into InputError, so an OSError here came from writing.
     try:
@@ -414,6 +422,9 @@ def main(argv=None) -> int:
             return EXIT_CLOSED_PIPE
         _print_error(f"cannot write output: {e}")
         return EXIT_OUTPUT
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ Nothing is kept across automata.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import sys
@@ -38,15 +37,19 @@ _BIT = {"0": 0, "1": 1}
 _DROP_BITS = str.maketrans("", "", "01")
 
 
-@dataclasses.dataclass(frozen=True, init=False)
 class Dfa:
     """Complete DFA over {0,1}: transition table, start state, final states.
 
     `delta[q]` is the pair (target on 0, target on 1).  A state is an
     int (not a bool) in range(n); ValueError names the first bad value,
     and is also what a delta or finals that cannot be read raises.
-    The package's one dataclass, for its memo; other records are
-    NamedTuples.
+
+    Immutable, and compared, hashed and shown by its three fields, as
+    a frozen dataclass would be: assigning or deleting an attribute
+    raises AttributeError, and the `analysis` memo takes no part in
+    equality.  A plain class with an instance `__dict__` for that memo,
+    not a dataclass: importing `dataclasses` took about a third of the
+    command-line tool's start-up.  Every other record is a NamedTuple.
     """
 
     delta: tuple[tuple[int, int], ...]
@@ -78,10 +81,27 @@ class Dfa:
         for q in finals:
             if type(q) is not int or not 0 <= q < n:
                 raise ValueError(f"bad final state {q!r}")
-        fields = self.__dict__  # past the frozen `__setattr__`
+        fields = self.__dict__  # past the raising `__setattr__`
         fields["delta"] = rows
         fields["start"] = start
         fields["finals"] = frozenset(finals)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.delta, self.start, self.finals) == (other.delta, other.start, other.finals)
+
+    def __hash__(self):
+        return hash((self.delta, self.start, self.finals))
+
+    def __repr__(self):
+        return f"Dfa(delta={self.delta!r}, start={self.start!r}, finals={self.finals!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a Dfa is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a Dfa is immutable")
 
     @property
     def state_count(self) -> int:
@@ -274,11 +294,6 @@ def analyze(m: Dfa) -> Analysis:
     return Analysis(tuple(comp_of), tuple(live), reached, tuple(dead), unreachable)
 
 
-def is_trim(m: Dfa) -> bool:
-    a = m.analysis
-    return not a.unreachable and len(a.dead) <= 1
-
-
 def ensure_trim(m: Dfa) -> None:
     a = m.analysis
     if a.unreachable:
@@ -406,9 +421,17 @@ class Condensation(NamedTuple):
 def condense(m: Dfa) -> Condensation:
     """Condensation of m, built on the component ids of `m.analysis`.
 
-    Heights come from strictly-below sets kept as bitmasks over the c
-    component ids, which takes time quadratic in c on a chain.  A
-    component's mask is dropped once the last component with an edge
+    Heights come from bitmasks over the c component ids: `upto[j]` holds
+    id j and every id below it, and a component's strictly-below mask is
+    the union of its exits' masks.  That takes time quadratic in c on a
+    chain, but a union costs a big-int operation only when it is new:
+    `u & mask` costs the smaller mask's size and tells whether u adds
+    nothing, holds the whole mask (then u itself is taken, with its
+    height known), or neither (then the two are ORed and counted).  So
+    on a chain each id costs one big-int operation, the `mask | 1 << j`
+    that makes its own `upto`.
+
+    A component's mask is dropped once the last component with an edge
     into it has read it.  So while id j is built, the masks held are
     those of the smaller ids with an edge from id j or above, each of
     at most c bits, instead of all c of them.  On a chain the only
@@ -431,20 +454,31 @@ def condense(m: Dfa) -> Condensation:
 
     # Transitions out of a component lead to smaller ids, whose masks
     # are done.  The last reader frees a mask; a later edge from the
-    # same component reads 0, which its mask already covers.
-    below: list[int] = []
+    # same component reads 0, which adds nothing.  The first exit finds
+    # mask 0 and so takes its u whole.
+    upto: list[int] = []
     heights: list[int] = []
     for j, comp in enumerate(components):
-        mask = 0
+        mask = h = 0
         for q in comp:
             for t in delta[q]:
                 jt = ids[t]
-                if jt != j:
-                    mask |= (1 << jt) | below[jt]
-                    if last[jt] == j:
-                        below[jt] = 0
-        heights.append(mask.bit_count())
-        below.append(mask if last[j] > j else 0)
+                if jt == j:
+                    continue
+                u = upto[jt]
+                if last[jt] == j:
+                    upto[jt] = 0
+                common = u & mask
+                if common == u:  # u adds nothing
+                    continue
+                if common == mask:  # u holds mask
+                    mask = u
+                    h = heights[jt] + 1
+                else:
+                    mask |= u
+                    h = mask.bit_count()
+        heights.append(h)
+        upto.append(mask | 1 << j if last[j] > j else 0)
     return Condensation(
         components=tuple(map(tuple, components)),
         height_of=tuple(heights[j] for j in ids),

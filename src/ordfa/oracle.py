@@ -55,17 +55,24 @@ def naive_check(m: Dfa) -> CheckResult:
     routes share no liveness pass: in a trim automaton the one dead
     state is the non-final state whose two edges both loop to itself."""
     ensure_trim(m)
+    q = _first_failing_state(m, _closure(m.delta))
+    return CheckResult(True, None) if q is None else CheckResult(False, build_witness(m, q))
+
+
+def _first_failing_state(m: Dfa, clo: list[int]) -> int | None:
+    """The least state of the trim m whose 0-edge leads back to it and
+    whose 1-edge is live, by the closure table clo of `_closure(m.delta)`,
+    or None when m is well-ordered."""
     snk = next(
         (q for q, (a, b) in enumerate(m.delta) if a == b == q and q not in m.finals),
         None,
     )
     # `_closure` counts one or more steps; on0 == q needs no case of its
     # own, since then q's 0-edge itself puts q into clo[on0].
-    clo = _closure(m.delta)
     for q, (on0, on1) in enumerate(m.delta):
         if q != snk and on1 != snk and clo[on0] >> q & 1:
-            return CheckResult(False, build_witness(m, q))
-    return CheckResult(True, None)
+            return q
+    return None
 
 
 def least_shortest_word(m: Dfa, src: int, targets) -> str | None:
@@ -307,16 +314,16 @@ def _is_normal(t: Ordinal) -> bool:
         return False
 
 
-def _analysis_matches_closure(m: Dfa) -> bool:
-    """Whether `m.analysis` says what the closure table of `_closure`
-    says: the live flags and dead states, which states the start
-    reaches, equal ids exactly where two states reach each other, and
-    no edge to a larger id."""
+def _analysis_matches_closure(m: Dfa, clo: list[int]) -> bool:
+    """Whether `m.analysis` says what the closure table clo of
+    `_closure(m.delta)` says: the live flags and dead states, which
+    states the start reaches, equal ids exactly where two states reach
+    each other, and no edge to a larger id."""
     a = m.analysis
     ids = a.component_of
     n = m.state_count
     # The states each state reaches in zero or more steps.
-    below = [(1 << q) | c for q, c in enumerate(_closure(m.delta))]
+    below = [(1 << q) | c for q, c in enumerate(clo)]
     finals = sum(1 << q for q in m.finals)
     if a.live != tuple(bool(b & finals) for b in below):
         return False
@@ -336,23 +343,51 @@ def _analysis_matches_closure(m: Dfa) -> bool:
     return True
 
 
+def _closure_heights(clo: list[int]) -> list[int]:
+    """Per state, the number of strong components strictly below its
+    own, by the closure table clo of `_closure`: each component is
+    counted at its least state."""
+    below = [(1 << q) | c for q, c in enumerate(clo)]
+    least = sum(
+        1 << p
+        for p in range(len(clo))
+        if not any(below[p] >> r & below[r] >> p & 1 for r in range(p))
+    )
+    return [(b & least).bit_count() - 1 for b in below]
+
+
 def _examine(m: Dfa):
     """Run the differential checks on one automaton.
 
     Returns (verdict, checks_passed, first_failure).
     """
     checks = 0
+    clo = _closure(m.delta)
+    # The analysis comes first, since `check` and `naive_check` trust it
+    # and a wrong one can make them raise; the verdict of a wrong one
+    # comes from the closure table alone.  The analysis read may be one
+    # that trim handed over.  It is also the one every later read gets:
+    # a memo, not a pass per read.
+    if m.analysis is not m.analysis or m.analysis != analyze(m):
+        failure = "analysis-disagreement"
+    elif not _analysis_matches_closure(m, clo):
+        failure = "analysis-closure"
+    else:
+        failure = None
+    if failure:
+        failing = _first_failing_state(m, clo)
+        return ("well-ordered" if failing is None else "not-well-ordered"), checks, failure
     fast = check(m)
     slow = naive_check(m)
     verdict = "well-ordered" if fast.well_ordered else "not-well-ordered"
-    # The analysis check used may be one that trim handed over.  It is
-    # also the one every later read gets: a memo, not a pass per read.
-    if m.analysis is not m.analysis or m.analysis != analyze(m):
-        return verdict, checks, "analysis-disagreement"
-    if not _analysis_matches_closure(m):
-        return verdict, checks, "analysis-closure"
     if (fast.well_ordered, fast.witness) != (slow.well_ordered, slow.witness):
         return verdict, checks, "check-disagreement"
+    # Heights on every case, not only the well-ordered ones: those
+    # seldom have a component with two readers and no other path
+    # between them, where a mask freed too early shows.
+    cond = condense(m)
+    if list(cond.height_of) != _closure_heights(clo):
+        return verdict, checks, "height-closure"
     checks += 1
 
     if not fast.well_ordered:
@@ -376,7 +411,6 @@ def _examine(m: Dfa):
     if not all(map(_is_normal, table.per_state)):
         return verdict, checks, "type-not-normal"
     checks += 1
-    cond = condense(m)
     for q in range(m.state_count):
         if table.per_state[q].degree > cond.height_of[q]:
             return verdict, checks, "height-bound"
@@ -401,10 +435,11 @@ def _examine(m: Dfa):
 def fuzz(seeds: int, states: int, *, exhaustive: bool = False) -> FuzzReport:
     """Differential sweep: the memoized analysis against a fresh pass
     and against the reachability closure, fast check against naive
-    check, witnesses replayed to completion and compared with the
-    least shortest words, and on well-ordered cases the order-type
-    invariants (types in normal form, height bound, no type above the
-    start's, component constancy, and on every word of at most
+    check, `condense` heights against the closure's count of
+    components below, witnesses replayed to completion and compared
+    with the least shortest words, and on well-ordered cases the
+    order-type invariants (types in normal form, height bound, no type
+    above the start's, component constancy, and on every word of at most
     RANK_CHECK_LEN letters rank consistency, with ranks that strictly
     increase in word order).
 

@@ -34,6 +34,13 @@ M_ZERO_THEN_CHAIN = Dfa(
 )
 
 
+def is_trim(m: Dfa) -> bool:
+    """The trim predicate, read from `m.analysis`: the start reaches
+    every state and at most one state is dead."""
+    a = m.analysis
+    return not a.unreachable and len(a.dead) <= 1
+
+
 def naive_relation(u: str, v: str) -> LexRelation:
     """Textbook positional classification, independent of compare_lex."""
     if u == v:

@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import gc
 import io
 import json
 import os
@@ -9,7 +10,7 @@ import sys
 import pytest
 
 import ordfa
-from ordfa import lexorder
+from ordfa import dfa, lexorder
 from machines import M_0STAR1, M_CYCLE2, M_EPS, M_ONESTAR, M_ZERO_THEN_CHAIN
 from ordfa.cli import EXIT_CLOSED_PIPE, EXIT_OUTPUT, main, render_dot
 from ordfa.dfa import Dfa, dump, from_json, load
@@ -559,6 +560,25 @@ def test_no_arguments(capsys):
 
 def test_unknown_command(capsys):
     assert main(["frobnicate"]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
+def test_main_runs_without_the_collector_and_gives_its_state_back(
+    automaton_file, capsys, monkeypatch, collecting
+):
+    seen = []
+    real_load = dfa.load
+    monkeypatch.setattr(dfa, "load", lambda path: seen.append(gc.isenabled()) or real_load(path))
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        for argv in (["check", automaton_file(M_CYCLE2)], ["check", "missing.json"], ["frobnicate"]):
+            main(argv)
+            assert gc.isenabled() is collecting, argv
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False, False]
     capsys.readouterr()
 
 

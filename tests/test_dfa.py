@@ -6,7 +6,17 @@ import weakref
 import pytest
 from hypothesis import given, settings
 
-from machines import FIXTURES, M_0STAR1, M_CYCLE2, M_EPS, M_ONESTAR, all_words, raw_dfas, trim_dfas
+from machines import (
+    FIXTURES,
+    M_0STAR1,
+    M_CYCLE2,
+    M_EPS,
+    M_ONESTAR,
+    all_words,
+    is_trim,
+    raw_dfas,
+    trim_dfas,
+)
 from ordfa import dfa, lexorder, oracle, ordtype, wellorder
 from ordfa.dfa import (
     Dfa,
@@ -14,7 +24,6 @@ from ordfa.dfa import (
     analyze,
     condense,
     from_json,
-    is_trim,
     shortest_word,
     to_json,
     trim,
@@ -133,6 +142,44 @@ def test_dfa_raises_value_error_for_a_delta_or_finals_it_cannot_read(
     assert str(info.value) == message
     # Raised from None: no second copy of the TypeError behind it.
     assert info.value.__cause__ is None and info.value.__suppress_context__
+
+
+###############################################################################
+# the Dfa record
+###############################################################################
+
+
+@pytest.mark.parametrize("name", ["delta", "start", "finals", "analysis", "extra"])
+def test_dfa_attributes_cannot_be_assigned_or_deleted(name):
+    m = Dfa(delta=M_CYCLE2.delta, start=M_CYCLE2.start, finals=M_CYCLE2.finals)
+    m.analysis  # the memo is filled, and it is as fixed as the fields
+    before = dict(vars(m))
+    with pytest.raises(AttributeError):
+        setattr(m, name, None)
+    with pytest.raises(AttributeError):
+        delattr(m, name)
+    assert vars(m) == before
+
+
+def test_dfa_equality_and_hash_read_every_field():
+    # Every start and every set of finals on two tables: 48 automata,
+    # no two equal, and no two hashed alike.  The exhaustive family
+    # holds each table with many sets of finals.
+    ms = [
+        Dfa(delta=delta, start=start, finals=[q for q in range(3) if fmask >> q & 1])
+        for delta in (((1, 2), (2, 2), (2, 2)), ((1, 2), (2, 2), (2, 1)))
+        for start in range(3)
+        for fmask in range(8)
+    ]
+    for i, m in enumerate(ms):
+        assert [m == other for other in ms] == [j == i for j in range(len(ms))]
+    assert len({hash(m) for m in ms}) == len(ms)
+
+
+def test_dfa_is_not_equal_to_the_tuple_of_its_fields():
+    fields = (M_CYCLE2.delta, M_CYCLE2.start, M_CYCLE2.finals)
+    assert M_CYCLE2.__eq__(fields) is NotImplemented
+    assert M_CYCLE2 != fields and fields != M_CYCLE2
 
 
 ###############################################################################
@@ -410,6 +457,46 @@ def _chain(k):
     return Dfa(delta=tuple(delta), start=0, finals=frozenset({k, k + 1}))
 
 
+def _tower_chain(ks):
+    """Built as `perfbench/gen.py`'s `tower_chain`, with any tower index
+    per chain state: chain state i < len(ks) reads 0 to i + 1 (the last
+    one into the sink) and 1 into tower state s_ks[i]; tower state s_j
+    loops on 1 and reads 0 down to s_(j-1); s_0 is final and leads to
+    the sink.  Every state is its own strong component, so heights have
+    a closed form: chain state i reaches the chain states after it,
+    s_0 up to the largest s_ks[i'] with i' >= i, and the sink; s_j
+    reaches s_0 up to s_(j-1) and the sink.  Returns (m, heights)."""
+    chain, tower = len(ks), max(ks)
+    sink = chain + tower + 1
+    s = range(chain, chain + tower + 1)
+    delta = [(i + 1, s[k]) for i, k in enumerate(ks)]
+    delta[-1] = (sink, s[ks[-1]])
+    delta.append((sink, sink))  # s_0
+    delta += [(s[j - 1], s[j]) for j in range(1, tower + 1)]
+    delta.append((sink, sink))
+    top = list(itertools.accumulate(reversed(ks), max))[::-1]
+    heights = [(chain - 1 - i) + top[i] + 2 for i in range(chain)]
+    heights += [j + 1 for j in range(tower + 1)] + [0]
+    return Dfa(delta=delta, start=0, finals=[s[0]]), tuple(heights)
+
+
+@pytest.mark.parametrize(
+    "ks",
+    [
+        # gen.py's shape: indices rise along the chain, so each chain
+        # state's tower exit adds nothing to the chain exit's mask.
+        [i * 25 // 3000 for i in range(3000)],
+        # Falling indices: the first 1000 chain states each OR two large
+        # masks that neither holds the other.
+        [max(1000 - i, 0) for i in range(3000)],
+    ],
+    ids=["rising", "falling"],
+)
+def test_condense_heights_of_a_tower_chain_match_their_closed_form(ks):
+    m, heights = _tower_chain(ks)
+    assert condense(m).height_of == heights
+
+
 def test_condense_frees_each_mask_after_its_last_reader():
     _assert_condense_keeps_the_analysis_numbering(_chain(60))
     peaks = []
@@ -593,6 +680,8 @@ def test_memos_leave_equality_and_hash_alone():
     assert "analysis" in vars(m)
     assert m == twin and hash(m) == hash(twin)
     assert "analysis" not in vars(twin)
+    vars(twin)["analysis"] = analyze(M_0STAR1)  # a memo that differs
+    assert m == twin and hash(m) == hash(twin)
 
 
 ###############################################################################

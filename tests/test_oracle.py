@@ -3,13 +3,14 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
-from machines import M_0STAR1, M_CYCLE2, M_EPS, M_ONESTAR, all_words, raw_dfas
+from machines import M_0STAR1, M_CYCLE2, M_EPS, M_ONESTAR, all_words, is_trim, raw_dfas
 from ordfa import oracle
-from ordfa.dfa import Dfa, analyze, is_trim, shortest_word, trim
+from ordfa.dfa import Dfa, analyze, condense, shortest_word, trim
 from ordfa.oracle import (
     BoundTooLargeError,
     FuzzCase,
     _closure,
+    _closure_heights,
     _examine,
     _trim_key,
     brute_rank,
@@ -293,15 +294,37 @@ _CYCLE2_ANALYSIS = analyze(M_CYCLE2)  # ids (2, 2, 1, 0), 3 reached, sink 3
         _CYCLE2_ANALYSIS._replace(component_of=(1, 1, 0, 0), reached=2),
         # every edge leads up
         _CYCLE2_ANALYSIS._replace(component_of=(0, 0, 1, 2)),
+        # every state live: `check` would pass a dead state to
+        # `build_witness`, which raises
+        _CYCLE2_ANALYSIS._replace(live=(True,) * 4, dead=()),
+        # a state not reached: `naive_check` would raise NotTrimError
+        _CYCLE2_ANALYSIS._replace(unreachable=1),
     ],
 )
 def test_examine_flags_an_analysis_that_the_closure_contradicts(monkeypatch, wrong):
     # A fresh pass that agrees with the wrong memo leaves the closure
-    # table as the only judge.
+    # table as the only judge.  It judges before `check` and
+    # `naive_check` read the memo, and the verdict is the closure's.
     m = Dfa(delta=M_CYCLE2.delta, start=M_CYCLE2.start, finals=M_CYCLE2.finals)
     vars(m)["analysis"] = wrong
     monkeypatch.setattr(oracle, "analyze", lambda m: m.analysis)
-    assert _examine(m)[1:] == (0, "analysis-closure")
+    assert _examine(m) == ("well-ordered", 0, "analysis-closure")
+
+
+def test_closure_heights_match_condense_exhaustively():
+    for m in exhaustive_trim_dfas(3):
+        assert _closure_heights(_closure(m.delta)) == list(condense(m).height_of)
+
+
+@pytest.mark.parametrize("m", [M_CYCLE2, M_0STAR1], ids=["well-ordered", "not-well-ordered"])
+def test_examine_flags_heights_that_the_closure_contradicts(monkeypatch, m):
+    # One height too low, on any verdict: the first check group
+    # compares every height.
+    right = condense(m)
+    wrong = right._replace(height_of=(right.height_of[0] - 1, *right.height_of[1:]))
+    monkeypatch.setattr(oracle, "condense", lambda m: wrong)
+    verdict = "well-ordered" if check(m).well_ordered else "not-well-ordered"
+    assert _examine(m) == (verdict, 0, "height-closure")
 
 
 def test_examine_flags_an_analysis_that_is_not_kept(monkeypatch):

@@ -1,4 +1,5 @@
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -20,3 +21,18 @@ def test_runtime_imports_only_the_standard_library():
 def test_every_exported_name_resolves():
     missing = [name for name in ordfa.__all__ if not hasattr(ordfa, name)]
     assert not missing, missing
+
+
+def test_the_command_line_tool_starts_without_dataclasses_or_the_oracle():
+    # Every command pays for what `ordfa.cli` imports.  `dataclasses`
+    # pulls in `inspect`, `ast` and `dis`, and only `fuzz` needs the
+    # oracle.  With -S, nothing that site imports hides a miss.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import ordfa.cli; "
+        "print([n for n in ('dataclasses', 'ordfa.oracle') if n in sys.modules])"
+    )
+    src = str(Path(ordfa.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code, src], capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordfa.dfa import is_trim
+from machines import is_trim
 from ordfa.oracle import enum_bounded
 from ordfa.ordinal import Ordinal, parse_ordinal
 from ordfa.ordtype import order_type
