@@ -48,8 +48,8 @@ MUTANTS = [
      "    if finals:",
      "    if True:"),
     ("trim-fast-path-takes-two-dead-states", "src/ordfa/dfa.py",
-     "    if not a.unreachable and len(a.dead) <= 1:  # m is trim",
-     "    if not a.unreachable and len(a.dead) <= 2:  # m is trim"),
+     "    if not unreachable and len(dead) <= 1:  # m is trim",
+     "    if not unreachable and len(dead) <= 2:  # m is trim"),
     ("condense-frees-a-mask-at-its-first-reader", "src/ordfa/dfa.py",
      "                if last[jt] == j:",
      "                if last[jt] >= j:"),
@@ -148,7 +148,7 @@ MUTANTS = [
      "                pass"),
     ("trim-lists-removed-states-only-with-dead-ones", "src/ordfa/dfa.py",
      "    return TrimReport(trimmed, frozenset(removed), frozenset(merged), sink)",
-     "    return TrimReport(trimmed, frozenset(removed if a.dead else ()), frozenset(merged), sink)"),
+     "    return TrimReport(trimmed, frozenset(removed if dead else ()), frozenset(merged), sink)"),
     ("check-takes-several-dead-states", "src/ordfa/wellorder.py",
      "    if a.unreachable or len(a.dead) > 1:",
      "    if a.unreachable:"),
@@ -188,6 +188,18 @@ MUTANTS = [
     ("dfa-hash-ignores-the-finals", "src/ordfa/dfa.py",
      "        return hash((self.delta, self.start, self.finals))",
      "        return hash((self.delta, self.start))"),
+    ("trim-walks-from-every-root", "src/ordfa/dfa.py",
+     "    ids, live, reached, dead, unreachable = a or _tarjan(m, False)",
+     "    ids, live, reached, dead, unreachable = a or _tarjan(m, True)"),
+    ("trim-leaves-a-trim-input-without-its-memo", "src/ordfa/dfa.py",
+     "        if a is None:  # the walk covered every state: it is the analysis",
+     "        if False:"),
+    ("shortest-word-shortcut-tries-1-first", "src/ordfa/dfa.py",
+     "    if a in targets:",
+     "    if a in targets and b not in targets:"),
+    ("unchecked-drops-the-memo-it-is-given", "src/ordfa/dfa.py",
+     "        if analysis is not None:",
+     "        if False:"),
 ]
 
 

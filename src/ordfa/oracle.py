@@ -10,12 +10,22 @@ generated automata.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from typing import NamedTuple
 
-from .dfa import Dfa, analyze, condense, ensure_trim, trim, validate_word
+from .dfa import (
+    Dfa,
+    analyze,
+    condense,
+    ensure_trim,
+    from_json,
+    to_json,
+    trim,
+    validate_word,
+)
 from .lexorder import enumerate_words
-from .ordinal import Ordinal, OrdinalRangeError
+from .ordinal import Ordinal, OrdinalRangeError, format_ordinal, parse_ordinal
 from .ordtype import order_type, rank
 from .wellorder import CheckResult, build_witness, check, verify_witness
 
@@ -218,6 +228,8 @@ def exhaustive_trim_dfas(max_states: int):
     and a trim automaton trims to itself, so each result is yielded at
     its first appearance and no result is remembered.  `_trim_key` is
     the literal definition; tests pin the two against each other.
+    The tables are built here as tuples of in-range int pairs, so each
+    automaton is built without `Dfa`'s checks, its memo left empty.
     """
     for n in range(1, max_states + 1):
         everything = (1 << n) - 1
@@ -235,7 +247,7 @@ def exhaustive_trim_dfas(max_states: int):
             for fmask in range(1 << n):
                 dead = sum(1 for b in below if not b & fmask)
                 if dead <= 1:
-                    yield Dfa(delta=rows, start=0, finals=finals_of[fmask])
+                    yield Dfa._unchecked(rows, 0, finals_of[fmask], None)
 
 
 class FuzzCase(NamedTuple):
@@ -388,6 +400,10 @@ def _examine(m: Dfa):
     cond = condense(m)
     if list(cond.height_of) != _closure_heights(clo):
         return verdict, checks, "height-closure"
+    doc = {"start": m.start, "finals": sorted(m.finals), "delta": list(map(list, m.delta))}
+    text = to_json(m)
+    if text != json.dumps(doc, indent=2) + "\n" or from_json(text) != m:
+        return verdict, checks, "json-text"
     checks += 1
 
     if not fast.well_ordered:
@@ -410,6 +426,11 @@ def _examine(m: Dfa):
     table = order_type(m)
     if not all(map(_is_normal, table.per_state)):
         return verdict, checks, "type-not-normal"
+    # The types' descending sum has several infinite terms, which the
+    # types themselves seldom have here, so it tests the term order.
+    shown = [*table.per_state, sum(sorted(table.per_state, reverse=True), Ordinal.zero())]
+    if any(parse_ordinal(format_ordinal(t)) != t for t in shown):
+        return verdict, checks, "type-format"
     checks += 1
     for q in range(m.state_count):
         if table.per_state[q].degree > cond.height_of[q]:
@@ -436,10 +457,12 @@ def fuzz(seeds: int, states: int, *, exhaustive: bool = False) -> FuzzReport:
     """Differential sweep: the memoized analysis against a fresh pass
     and against the reachability closure, fast check against naive
     check, `condense` heights against the closure's count of
-    components below, witnesses replayed to completion and compared
+    components below, the `to_json` text against `json.dumps` and back
+    through `from_json`, witnesses replayed to completion and compared
     with the least shortest words, and on well-ordered cases the
-    order-type invariants (types in normal form, height bound, no type
-    above the start's, component constancy, and on every word of at most
+    order-type invariants (types in normal form that, with their
+    descending sum, format and parse back, height bound, no type above
+    the start's, component constancy, and on every word of at most
     RANK_CHECK_LEN letters rank consistency, with ranks that strictly
     increase in word order).
 

@@ -299,6 +299,57 @@ def test_trimmed_analysis_is_exact(m):
     _assert_trimmed_analysis_is_exact(m)
 
 
+def _assert_trim_reads_the_memo_as_it_walks(m):
+    """trim of m, whose memo is empty, equals trim of a twin whose memo
+    was read first: the same report and the same output analysis."""
+    twin = Dfa(delta=m.delta, start=m.start, finals=m.finals)
+    twin.analysis
+    assert "analysis" not in vars(m)
+    walked, read = trim(m), trim(twin)
+    assert walked == read
+    assert walked.trimmed.analysis == read.trimmed.analysis
+
+
+def test_trim_reads_the_memo_as_it_walks_on_all_tiny_automata():
+    for m in _all_tiny_automata():
+        _assert_trim_reads_the_memo_as_it_walks(m)
+
+
+@settings(max_examples=200)
+@given(raw_dfas())
+def test_trim_reads_the_memo_as_it_walks(m):
+    _assert_trim_reads_the_memo_as_it_walks(Dfa(delta=m.delta, start=m.start, finals=m.finals))
+
+
+def test_trim_fills_the_memo_only_of_an_input_the_start_fully_reaches():
+    # State 2 is unreachable: trim's walk is not the whole analysis.
+    m = Dfa(delta=((1, 3), (0, 1), (2, 0), (3, 3)), start=0, finals=frozenset({1}))
+    trim(m)
+    assert "analysis" not in vars(m)
+    # Trim: the walk from the start is the analysis, and trim keeps it.
+    m = Dfa(delta=M_CYCLE2.delta, start=M_CYCLE2.start, finals=M_CYCLE2.finals)
+    assert trim(m).trimmed is m
+    assert vars(m)["analysis"] == analyze(m)
+
+
+class _RowsReadLog(tuple):
+    """A transition table that logs the states whose rows are read."""
+
+    def __getitem__(self, q):
+        self.read.add(q)
+        return tuple.__getitem__(self, q)
+
+
+def test_trim_reads_no_row_of_a_state_the_start_does_not_reach():
+    # States 2 and 4 are unreachable, and 4 is dead.
+    rows = _RowsReadLog(((1, 3), (0, 1), (2, 0), (3, 3), (4, 2)))
+    rows.read = set()
+    m = Dfa._unchecked(rows, 0, frozenset({1}), None)
+    report = trim(m)
+    assert report.removed_unreachable == frozenset({2, 4})
+    assert rows.read <= {0, 1, 3}
+
+
 def test_trimmed_analysis_puts_the_sink_where_the_first_dead_component_was():
     # The pass emits dead {1}, live {3}, dead {4}, then live {2} and {0}:
     # the sink takes the place of the first dead component, not the last.
@@ -654,16 +705,14 @@ def test_tarjan_runs_once_per_input(monkeypatch):
     # The same automaton with one unreachable state: raw input to trim.
     raw = Dfa(delta=made.delta + ((0, 0),), start=made.start, finals=made.finals)
     runs = []
-    tarjan = dfa.analyze
+    tarjan = dfa._tarjan
 
-    def counting(m):
+    def counting(m, every):
         runs.append(m)
-        return tarjan(m)
+        return tarjan(m, every)
 
-    # Every module that bound the function by name, so no call escapes.
-    for module in (dfa, wellorder, ordtype, lexorder, oracle):
-        if getattr(module, "analyze", None) is tarjan:
-            monkeypatch.setattr(module, "analyze", counting)
+    # The walk that `analyze` and `trim` share, so no pass escapes.
+    monkeypatch.setattr(dfa, "_tarjan", counting)
     for m in (trim(raw).trimmed, made):
         wellorder.check(m)
         ordtype.order_type(m)

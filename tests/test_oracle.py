@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 from machines import M_0STAR1, M_CYCLE2, M_EPS, M_ONESTAR, all_words, is_trim, raw_dfas
 from ordfa import oracle
-from ordfa.dfa import Dfa, analyze, condense, shortest_word, trim
+from ordfa.dfa import Dfa, analyze, condense, shortest_word, to_json, trim
 from ordfa.oracle import (
     BoundTooLargeError,
     FuzzCase,
@@ -21,8 +21,9 @@ from ordfa.oracle import (
     naive_check,
     random_trim_dfa,
 )
-from ordfa.ordinal import Ordinal
+from ordfa.ordinal import Ordinal, format_ordinal, parse_ordinal
 from ordfa.ordtype import OrderTypeTable, order_type
+from ordfa.synth import synth
 from ordfa.wellorder import CheckResult, Witness, check
 
 ###############################################################################
@@ -355,6 +356,36 @@ def test_examine_flags_a_type_that_is_not_in_normal_form(monkeypatch):
     bad = OrderTypeTable(per_state=types, start=table.start)
     monkeypatch.setattr(oracle, "order_type", lambda m: bad)
     assert _examine(M_ONESTAR) == ("well-ordered", 1, "type-not-normal")
+
+
+@pytest.mark.parametrize("fault", ["text", "reading"])
+def test_examine_flags_json_that_does_not_round_trip(monkeypatch, fault):
+    # No finals written as an empty list broken over lines, or a reader
+    # that gives another automaton back: the first check group.
+    m = trim(Dfa(delta=((1, 1), (0, 0)), start=0, finals=frozenset())).trimmed
+    if fault == "text":
+        monkeypatch.setattr(oracle, "to_json", lambda m: to_json(m).replace("[]", "[\n  ]"))
+    else:
+        monkeypatch.setattr(oracle, "from_json", lambda text: M_EPS)
+    assert _examine(m) == ("well-ordered", 0, "json-text")
+
+
+def test_examine_flags_types_that_do_not_format_back(monkeypatch):
+    # A writer of infinite terms in ascending order: each type here has
+    # one infinite term, so only the descending sum of the types, with
+    # w^2 and w, shows it.
+    m = synth(parse_ordinal("w^2"))
+    types = order_type(m).per_state
+    assert {format_ordinal(t) for t in types} >= {"w^2", "w"}
+    assert all(sum(1 for c in t.coeffs[1:] if c) <= 1 for t in types)
+
+    def ascending(t):
+        terms = format_ordinal(t).split(" + ")
+        finite = terms.pop() if terms[-1].isdigit() else None
+        return " + ".join(terms[::-1] + ([finite] if finite else []))
+
+    monkeypatch.setattr(oracle, "format_ordinal", ascending)
+    assert _examine(m) == ("well-ordered", 1, "type-format")
 
 
 def test_examine_flags_a_type_above_the_start_type(monkeypatch):
