@@ -189,11 +189,11 @@ MUTANTS = [
      "        return hash((self.delta, self.start, self.finals))",
      "        return hash((self.delta, self.start))"),
     ("trim-walks-from-every-root", "src/ordfa/dfa.py",
-     "    ids, live, reached, dead, unreachable = a or _tarjan(m, False)",
-     "    ids, live, reached, dead, unreachable = a or _tarjan(m, True)"),
+     "    ids, live, reached, dead, unreachable = _tarjan(m, False)",
+     "    ids, live, reached, dead, unreachable = _tarjan(m, True)"),
     ("trim-leaves-a-trim-input-without-its-memo", "src/ordfa/dfa.py",
-     "        if a is None:  # the walk covered every state: it is the analysis",
-     "        if False:"),
+     '        m.__dict__.setdefault("analysis", a)',
+     "        pass"),
     ("shortest-word-shortcut-tries-1-first", "src/ordfa/dfa.py",
      "    if a in targets:",
      "    if a in targets and b not in targets:"),

@@ -350,11 +350,11 @@ def trim(m: Dfa) -> TrimReport:
     itself.
 
     `trim` runs `_tarjan`'s walk from the start alone, so it never
-    visits a state the start does not reach; an input whose memo is
-    already filled is read from that memo instead.  m is trim exactly
-    when the walk covers every state and finds at most one dead state,
-    and then the walk is m's whole analysis: `trim` fills m's memo with
-    it and returns m itself, with nothing removed or merged.
+    visits a state the start does not reach.  m is trim exactly when
+    the walk covers every state and finds at most one dead state, and
+    then the walk is m's whole analysis: `trim` fills m's memo with it,
+    unless the memo is already filled, and returns m itself, with
+    nothing removed or merged.
 
     Otherwise the result comes with its analysis, relabeled from the
     walk instead of computed again.  Reached live components keep their
@@ -374,11 +374,11 @@ def trim(m: Dfa) -> TrimReport:
     are renumbered only when a dead state was merged: otherwise every
     reached component keeps a state, and no id disappears.
     """
-    a = m.__dict__.get("analysis")
-    ids, live, reached, dead, unreachable = a or _tarjan(m, False)
+    ids, live, reached, dead, unreachable = _tarjan(m, False)
     if not unreachable and len(dead) <= 1:  # m is trim
-        if a is None:  # the walk covered every state: it is the analysis
-            m.__dict__["analysis"] = Analysis(tuple(ids), tuple(live), reached, tuple(dead), 0)
+        # The walk covered every state: it is the analysis.
+        a = Analysis(tuple(ids), tuple(live), reached, tuple(dead), 0)
+        m.__dict__.setdefault("analysis", a)
         return TrimReport(m, frozenset(), frozenset(), dead[0] if dead else None)
     removed, kept, merged, component_of = [], [], [], []
     new_of = [-1] * len(ids)
