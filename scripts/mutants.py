@@ -9,8 +9,10 @@ copied to a temporary directory and one line is replaced there; the
 checkout itself is never written.  Then `ordfa fuzz --seeds 2000
 --states 8` runs, and the tier-1 suite with -x, each in a fresh
 interpreter.  One row per mutant: whether fuzz exited nonzero, the
-first tier-1 test that failed, and the verdict.  A mutant is killed
-when either one fails; a surviving mutant costs a full tier-1 run.
+first tier-1 test that failed, the verdict and the mutant's seconds.
+A closing line gives the number killed and the run's total time.  A
+mutant is killed when either one fails; a surviving mutant costs a
+full tier-1 run.
 The exit status is 1 when a mutant survives or its line is no longer
 in the source.
 """
@@ -20,6 +22,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,8 +39,8 @@ MUTANTS = [
      "        for t in delta[q]:  # 0 before 1",
      "        for t in reversed(delta[q]):  # 0 before 1"),
     ("sink-at-the-last-dead-component", "src/ordfa/dfa.py",
-     "        first = k = min(dead_ids)",
-     "        first = k = max(dead_ids)"),
+     "        first = k = ids[dead[0]]  # `dead` is in emission order",
+     "        first = k = ids[dead[-1]]  # `dead` is in emission order"),
     ("cycle-type-without-the-lap-power", "src/ordfa/ordtype.py",
      "            t = Ordinal.omega_power(1 + d)",
      "            t = Ordinal.omega_power(d)"),
@@ -96,11 +99,11 @@ MUTANTS = [
      "    if sys.stderr is None:  # what Python sets when fd 2 was closed",
      "    if False:"),
     ("replay-reads-the-tail-without-its-1", "src/ordfa/wellorder.py",
-     '    rest = validate_word("1" + w.tail)',
-     "    rest = validate_word(w.tail)"),
+     "        s = row[1]",
+     "        s = state"),
     ("replay-steps-without-the-0", "src/ordfa/wellorder.py",
-     '    step = validate_word("0" + w.loop)',
-     "    step = validate_word(w.loop)"),
+     "        s = row[0]",
+     "        s = state"),
     ("min-word-of-the-empty-language-is-eps", "src/ordfa/lexorder.py",
      "    return next(iter_words(m), None)",
      '    return next(iter_words(m), "")'),
@@ -141,8 +144,8 @@ MUTANTS = [
      "    if any(not r < s for (_, r), (_, s) in zip(ranked, ranked[1:])):",
      "    if any(not r <= s for (_, r), (_, s) in zip(ranked, ranked[1:])):"),
     ("dfa-lets-a-1-target-out-of-range", "src/ordfa/dfa.py",
-     "            if not (type(a) is int and type(b) is int and 0 <= a < n and 0 <= b < n):",
-     "            if not (type(a) is int and type(b) is int and 0 <= a < n):"),
+     "                if not (type(a) is int and type(b) is int and 0 <= a < n and 0 <= b < n):",
+     "                if not (type(a) is int and type(b) is int and 0 <= a < n):"),
     ("walk-does-not-pass-low-up", "src/ordfa/dfa.py",
      "                low = lv",
      "                pass"),
@@ -200,6 +203,18 @@ MUTANTS = [
     ("unchecked-drops-the-memo-it-is-given", "src/ordfa/dfa.py",
      "        if analysis is not None:",
      "        if False:"),
+    ("dfa-lets-a-1-target-equal-to-the-state-count", "src/ordfa/dfa.py",
+     "                if not (type(a) is int and type(b) is int and 0 <= a < n and 0 <= b < n):",
+     "                if not (type(a) is int and type(b) is int and 0 <= a < n and 0 <= b <= n):"),
+    ("dfa-names-a-short-row-by-its-targets", "src/ordfa/dfa.py",
+     "        if len(row) != 2:",
+     "        if len(row) > 2:"),
+    ("trim-takes-a-sink-at-index-0-as-none", "src/ordfa/dfa.py",
+     "        elif sink is None:",
+     "        elif not sink:"),
+    ("replay-steps-on-the-1-edge", "src/ordfa/wellorder.py",
+     "        s = row[0]",
+     "        s = row[1]"),
 ]
 
 
@@ -227,7 +242,8 @@ def _run(tree: Path, argv):
 def _first_failure(output: str) -> str:
     for line in output.splitlines():
         if line.startswith(("FAILED ", "ERROR ")):
-            return line.split()[1]
+            # "FAILED <test id> - <reason>": a parametrized id may hold spaces.
+            return line.split(" ", 1)[1].split(" - ", 1)[0]
     return "(no test named)"
 
 
@@ -254,13 +270,20 @@ def run_mutant(mutant) -> tuple[str, str, str]:
 
 def main() -> int:
     width = max(len(m[0]) for m in MUTANTS)
-    print(f"{'mutant':<{width}}  {'fuzz':<16}  {'verdict':<8}  tier-1", flush=True)
-    bad = 0
+    print(f"{'mutant':<{width}}  {'fuzz':<16}  {'verdict':<8}  {'seconds':>7}  tier-1",
+          flush=True)
+    killed = 0
+    start = time.perf_counter()
     for mutant in MUTANTS:
+        t0 = time.perf_counter()
         fuzz, tier1, verdict = run_mutant(mutant)
-        bad += verdict != "killed"
-        print(f"{mutant[0]:<{width}}  {fuzz:<16}  {verdict:<8}  {tier1}", flush=True)
-    return 1 if bad else 0
+        seconds = time.perf_counter() - t0
+        killed += verdict == "killed"
+        print(f"{mutant[0]:<{width}}  {fuzz:<16}  {verdict:<8}  {seconds:7.1f}  {tier1}",
+              flush=True)
+    total = time.perf_counter() - start
+    print(f"{killed} of {len(MUTANTS)} killed in {total:.0f} s", flush=True)
+    return 0 if killed == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":

@@ -59,6 +59,13 @@ class Dfa:
     finals: frozenset[int]
 
     def __init__(self, delta, start, finals):
+        """Check and store the three fields.
+
+        One pass reads every row as a pair and tests both targets; a
+        row of another length stops it at the unpacking.  Only a pass
+        that fails looks at the rows again, to name the first bad one
+        (`_bad_row`), so a valid table pays for no index and no message.
+        """
         try:
             rows = tuple(map(tuple, delta))
         except TypeError:
@@ -70,14 +77,12 @@ class Dfa:
         n = len(rows)
         if n == 0:
             raise ValueError("an automaton needs at least one state")
-        for q, row in enumerate(rows):
-            try:
-                a, b = row
-            except ValueError:
-                raise ValueError(f"state {q} must have exactly two transitions") from None
-            if not (type(a) is int and type(b) is int and 0 <= a < n and 0 <= b < n):
-                t = next(t for t in row if type(t) is not int or not 0 <= t < n)
-                raise ValueError(f"state {q} has a bad transition target {t!r}")
+        try:
+            for a, b in rows:  # a row of another length raises here
+                if not (type(a) is int and type(b) is int and 0 <= a < n and 0 <= b < n):
+                    raise ValueError
+        except ValueError:
+            raise ValueError(_bad_row(rows)) from None
         if type(start) is not int or not 0 <= start < n:
             raise ValueError(f"bad start state {start!r}")
         for q in finals:
@@ -132,11 +137,15 @@ class Dfa:
         `oracle.exhaustive_trim_dfas` with None; both pass a table of
         in-range int pairs that they built themselves as a tuple and
         finals as a frozenset, exactly the fields a checked Dfa holds,
-        so equality and hashing agree with a checked twin.
+        so equality and hashing agree with a checked twin.  The fields
+        and the memo are set in the instance `__dict__` one by one,
+        which was cheaper than one `update` call with keywords.
         """
         m = object.__new__(cls)
         fields = m.__dict__
-        fields.update(delta=delta, start=start, finals=finals)
+        fields["delta"] = delta
+        fields["start"] = start
+        fields["finals"] = finals
         if analysis is not None:
             fields["analysis"] = analysis
         return m
@@ -166,6 +175,19 @@ def _bad_rows(delta) -> str:
     except TypeError:
         pass
     return "delta must be a sequence of [on0, on1] pairs"
+
+
+def _bad_row(rows: tuple[tuple, ...]) -> str:
+    """Message naming the first row of rows that is not a pair of
+    states: its length, or else its first bad target."""
+    n = len(rows)
+    for q, row in enumerate(rows):
+        if len(row) != 2:
+            return f"state {q} must have exactly two transitions"
+        for t in row:
+            if type(t) is not int or not 0 <= t < n:
+                return f"state {q} has a bad transition target {t!r}"
+    raise RuntimeError("no bad row to name")
 
 
 def _bad_letter(word: str) -> str:
@@ -367,12 +389,15 @@ def trim(m: Dfa) -> TrimReport:
 
     One loop puts each state of m in one of four groups: removed
     (unreachable), kept (reached and live), the sink (the least
-    reached dead state) or merged into the sink, and collects the ids
-    of the kept states and the sink.  The ids are those of the walk,
-    Tarjan's with the refinements of Nuutila and Soisalon-Soininen,
-    which number components by emission just as Tarjan's does.  They
-    are renumbered only when a dead state was merged: otherwise every
-    reached component keeps a state, and no id disappears.
+    reached dead state) or merged into the sink, gives each kept or
+    merged state its new index, and collects the ids of the kept
+    states and the sink.  The ids are those of the walk, Tarjan's with
+    the refinements of Nuutila and Soisalon-Soininen, which number
+    components by emission just as Tarjan's does.  They are renumbered
+    in place only when a dead state was merged: otherwise every
+    reached component keeps a state, and no id disappears.  Plain
+    loops then fill the new rows and finals; no comprehension builds
+    them.
     """
     ids, live, reached, dead, unreachable = _tarjan(m, False)
     if not unreachable and len(dead) <= 1:  # m is trim
@@ -395,36 +420,43 @@ def trim(m: Dfa) -> TrimReport:
             kept.append(q)
             component_of.append(j)
         else:
+            new_of[q] = sink
             merged.append(q)
-    for q in merged:
-        new_of[q] = sink
     components = reached
     if merged:
         # Merging empties the components of the merged states, unless
         # they share the sink's.  Ids up to the first dead one stay,
         # later dead ones join it, and later live ones close the gaps.
-        dead_ids = {ids[q] for q in merged}
-        dead_ids.add(component_of[sink])
-        first = k = min(dead_ids)
         renum = list(range(reached))
-        for j in range(first + 1, reached):
-            if j in dead_ids:
+        for q in dead:
+            renum[ids[q]] = -1
+        first = k = ids[dead[0]]  # `dead` is in emission order
+        for j in range(first, reached):
+            if renum[j] < 0:
                 renum[j] = first
             else:
                 k += 1
                 renum[j] = k
-        component_of = [renum[j] for j in component_of]
         components = k + 1
-
+        for i, j in enumerate(component_of):
+            component_of[i] = renum[j]
     # The sink's edges lead to dead states, so they become its own loops.
     delta = m.delta
+    rows = []
+    for q in kept:
+        a, b = delta[q]
+        rows.append((new_of[a], new_of[b]))
+    finals = []
+    for q in m.finals:
+        if ids[q] < reached:
+            finals.append(new_of[q])
     new_live = [True] * len(kept)
     if sink is not None:
         new_live[sink] = False
     trimmed = Dfa._unchecked(
-        tuple([(new_of[s0], new_of[s1]) for s0, s1 in map(delta.__getitem__, kept)]),
+        tuple(rows),
         new_of[m.start],
-        frozenset([new_of[q] for q in m.finals if ids[q] < reached]),
+        frozenset(finals),
         Analysis(
             tuple(component_of),
             tuple(new_live),

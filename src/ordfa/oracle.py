@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 from .dfa import (
     Dfa,
+    TrimReport,
     analyze,
     condense,
     ensure_trim,
@@ -147,14 +148,20 @@ def brute_rank(m: Dfa, w: str, bound: int) -> int:
 
 def random_trim_dfa(seed: int, states: int) -> Dfa:
     """Deterministic pseudo-random trim automaton with at most `states`
-    states: a uniform complete automaton (finals with chance 1/3),
-    trimmed."""
+    states: `_random_raw_dfa(seed, states)`, trimmed."""
+    return trim(_random_raw_dfa(seed, states)).trimmed
+
+
+def _random_raw_dfa(seed: int, states: int) -> Dfa:
+    """The uniform complete automaton with start 0 that
+    `random_trim_dfa` trims: each target uniform, each state final with
+    chance 1/3."""
     rng = random.Random(seed)
     delta = tuple(
         (rng.randrange(states), rng.randrange(states)) for _ in range(states)
     )
     finals = frozenset(q for q in range(states) if rng.random() < 1 / 3)
-    return trim(Dfa(delta=delta, start=0, finals=finals)).trimmed
+    return Dfa(delta=delta, start=0, finals=finals)
 
 
 def _closure(rows: tuple[tuple[int, int], ...]) -> list[int]:
@@ -212,6 +219,31 @@ def _trim_key(rows, finals_mask, clo):
         new_index[q] for q in kept if (finals_mask >> q) & 1 and (live >> q) & 1
     )
     return tuple(out_rows), finals_new
+
+
+def _trim_matches_closure(raw: Dfa, report: TrimReport) -> bool:
+    """Whether `trim`'s report on raw, an automaton with start 0, says
+    what `_trim_key` and the closure table of raw say: the trimmed rows,
+    start and finals, the states the start does not reach, the reached
+    dead states but the least merged into the sink, and the index the
+    least one keeps as the sink."""
+    n = raw.state_count
+    clo = _closure(raw.delta)
+    finals = sum(1 << q for q in raw.finals)
+    rows, kept_finals = _trim_key(raw.delta, finals, clo)
+    reach = 1 | clo[0]
+    dead = [q for q in range(n) if reach >> q & 1 and not ((1 << q) | clo[q]) & finals]
+    # The sink keeps its place among the reached live states.
+    sink = (reach & ((1 << dead[0]) - 1)).bit_count() if dead else None
+    m = report.trimmed
+    return (
+        m.delta == rows
+        and m.start == 0
+        and m.finals == frozenset(kept_finals)
+        and report.removed_unreachable == frozenset(q for q in range(n) if not reach >> q & 1)
+        and report.merged_into_sink == frozenset(dead[1:])
+        and report.sink == sink
+    )
 
 
 def exhaustive_trim_dfas(max_states: int):
@@ -368,19 +400,23 @@ def _closure_heights(clo: list[int]) -> list[int]:
     return [(b & least).bit_count() - 1 for b in below]
 
 
-def _examine(m: Dfa):
+def _examine(m: Dfa, raw: Dfa | None = None, report: TrimReport | None = None):
     """Run the differential checks on one automaton.
 
+    In seeded mode raw is the automaton with start 0 that `trim` made
+    m from, and report is what it returned, so `report.trimmed` is m.
     Returns (verdict, checks_passed, first_failure).
     """
     checks = 0
     clo = _closure(m.delta)
-    # The analysis comes first, since `check` and `naive_check` trust it
-    # and a wrong one can make them raise; the verdict of a wrong one
-    # comes from the closure table alone.  The analysis read may be one
-    # that trim handed over.  It is also the one every later read gets:
-    # a memo, not a pass per read.
-    if m.analysis is not m.analysis or m.analysis != analyze(m):
+    # The trim and the analysis come first, since `check` and
+    # `naive_check` trust both and a wrong one can make them raise; the
+    # verdict then comes from the closure table alone.  The analysis
+    # read may be one that trim handed over.  It is also the one every
+    # later read gets: a memo, not a pass per read.
+    if raw is not None and not _trim_matches_closure(raw, report):
+        failure = "trim-closure"
+    elif m.analysis is not m.analysis or m.analysis != analyze(m):
         failure = "analysis-disagreement"
     elif not _analysis_matches_closure(m, clo):
         failure = "analysis-closure"
@@ -454,9 +490,10 @@ def _examine(m: Dfa):
 
 
 def fuzz(seeds: int, states: int, *, exhaustive: bool = False) -> FuzzReport:
-    """Differential sweep: the memoized analysis against a fresh pass
-    and against the reachability closure, fast check against naive
-    check, `condense` heights against the closure's count of
+    """Differential sweep: on seeded cases the trim of the raw automaton
+    against `_trim_key` and the reachability closure, the memoized
+    analysis against a fresh pass and against that closure, fast check
+    against naive check, `condense` heights against the closure's count of
     components below, the `to_json` text against `json.dumps` and back
     through `from_json`, witnesses replayed to completion and compared
     with the least shortest words, and on well-ordered cases the
@@ -482,11 +519,15 @@ def fuzz(seeds: int, states: int, *, exhaustive: bool = False) -> FuzzReport:
 
     if exhaustive:
         stream = enumerate(exhaustive_trim_dfas(states))
-    else:
-        stream = ((s, random_trim_dfa(s, states)) for s in range(seeds))
+    else:  # raw automata, trimmed below as `random_trim_dfa` trims them
+        stream = ((s, _random_raw_dfa(s, states)) for s in range(seeds))
 
     for key, m in stream:
-        verdict, passed, failure = _examine(m)
+        raw = report = None
+        if not exhaustive:
+            raw, report = m, trim(m)
+            m = report.trimmed
+        verdict, passed, failure = _examine(m, raw, report)
         total += 1
         if verdict == "well-ordered":
             wo += 1

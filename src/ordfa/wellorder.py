@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .dfa import Dfa, ensure_trim, shortest_word, validate_word
+from .dfa import _BIT, _DROP_BITS, Dfa, ensure_trim, shortest_word, validate_word
 
 
 class Witness(NamedTuple):
@@ -39,19 +39,24 @@ def witness_chain(w: Witness, n: int) -> str:
 def build_witness(m: Dfa, q: int) -> Witness:
     """Deterministic witness at failing state q: breadth-first shortest
     words, ties resolved toward the letter 0.  ValueError when q yields
-    no chain or is not a state."""
+    no chain or is not a state.
+
+    q's row is read once, and the access and loop searches share one
+    target set {q}."""
     if not 0 <= q < m.state_count:
         raise ValueError(f"state {q} is out of range for {m.state_count} states")
-    access = shortest_word(m, m.start, {q})
-    loop = shortest_word(m, m.delta[q][0], {q})
-    tail = shortest_word(m, m.delta[q][1], m.finals)
+    on0, on1 = m.delta[q]
+    at_q = {q}
+    access = shortest_word(m, m.start, at_q)
+    loop = shortest_word(m, on0, at_q)
+    tail = shortest_word(m, on1, m.finals)
     if access is None or loop is None or tail is None:
         raise ValueError(
             f"state {q} is not a failing state: it is unreachable, its "
             "0-edge does not lead back to it, or its 1-edge reaches no "
             "final state"
         )
-    return Witness(access=access, loop=loop, tail=tail, state=q)
+    return Witness(access, loop, tail, q)
 
 
 def check(m: Dfa) -> CheckResult:
@@ -80,28 +85,40 @@ def witness_failure(m: Dfa, w: Witness, upto: int) -> str | None:
     Checks, for n in 0..upto-1, that chain[n] is accepted.  Descent
     needs no check: chain[n+1] and chain[n] share the prefix
     access (0 loop)^n and continue with a 0 and a 1, so chain[n+1] is
-    strictly below chain[n] for every witness.  Membership is replayed
-    through `Dfa.run`: the state after access (0 loop)^n is carried from
-    one depth to the next, and only '1' tail is read from it.  Both
-    words are validated first, so a bad letter raises ValueError for any
-    upto.  The words of the chain are built only to describe a failure.
-    The automaton is deterministic, so once the run of access (0 loop)^n
-    comes back to a state it held at an earlier depth, every later depth
-    repeats a check that already passed: replay stops there, after at
-    most one depth per state.
+    strictly below chain[n] for every witness.  Loop and tail are
+    validated once, before any replay, so a bad letter raises
+    ValueError for any upto; its message gives the letter's position
+    in "0" + loop or "1" + tail, as the chain has it.  Access is read
+    by `Dfa.run`.  Then the replay reads `delta` itself: the state after
+    access (0 loop)^n is carried from one depth to the next, and each
+    depth reads its row once, for the 1 before the tail and the 0
+    before the loop.  The words of the chain are built only to
+    describe a failure.  The automaton is deterministic, so once the
+    run of access (0 loop)^n comes back to a state it held at an
+    earlier depth, every later depth repeats a check that already
+    passed: replay stops there, after at most one depth per state.
     """
-    run, finals = m.run, m.finals
-    step = validate_word("0" + w.loop)
-    rest = validate_word("1" + w.tail)
-    state = run(m.start, w.access)
+    delta, finals = m.delta, m.finals
+    loop, tail = w.loop, w.tail
+    if loop.translate(_DROP_BITS) or tail.translate(_DROP_BITS):
+        validate_word("0" + loop)
+        validate_word("1" + tail)
+    state = m.run(m.start, w.access)
     seen = set()
     for n in range(upto):
         if state in seen:
             return None
         seen.add(state)
-        if run(state, rest) not in finals:
+        row = delta[state]
+        s = row[1]
+        for ch in tail:
+            s = delta[s][_BIT[ch]]
+        if s not in finals:
             return f"chain[{n}] = {witness_chain(w, n) or '(eps)'} is not accepted"
-        state = run(state, step)
+        s = row[0]
+        for ch in loop:
+            s = delta[s][_BIT[ch]]
+        state = s
     return None
 
 

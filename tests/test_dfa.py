@@ -111,6 +111,10 @@ def _bad_target_cases():
         (((0, 0), (0, 0)), 0, [False], "bad final state False"),
         (((0, 0), 5), 0, (), "state 1 must have exactly two transitions"),
         ((None, (0, 0)), 0, (), "state 0 must have exactly two transitions"),
+        # Bad in two rows, in different ways: the first bad row is named.
+        (((0, 5), (0,)), 0, (), "state 0 has a bad transition target 5"),
+        (((0,), (0, 9)), 0, (), "state 0 must have exactly two transitions"),
+        (((0, 0), (True, 7)), 0, (), "state 1 has a bad transition target True"),
     ],
 )
 def test_dfa_names_the_first_bad_value(delta, start, finals, message):

@@ -13,6 +13,7 @@ from ordfa.oracle import (
     _closure_heights,
     _examine,
     _trim_key,
+    _trim_matches_closure,
     brute_rank,
     enum_bounded,
     exhaustive_trim_dfas,
@@ -240,6 +241,7 @@ def test_trim_matches_trim_key_exhaustively():
                     assert report.sink is None, m
                 assert report.merged_into_sink == frozenset(dead[1:]), m
                 assert report.removed_unreachable == frozenset(range(n)) - set(reach), m
+                assert _trim_matches_closure(m, report), m
                 count += 1
     assert count == 5898
 
@@ -310,6 +312,31 @@ def test_examine_flags_an_analysis_that_the_closure_contradicts(monkeypatch, wro
     vars(m)["analysis"] = wrong
     monkeypatch.setattr(oracle, "analyze", lambda m: m.analysis)
     assert _examine(m) == ("well-ordered", 0, "analysis-closure")
+
+
+# Start 0 reaches 0 to 3; 1 is final with both edges to itself, 2 and 3
+# are dead, and 4 is not reached.  Trimmed: 2 is the sink and 3 merges
+# into it.
+_RAW = Dfa(delta=((1, 2), (1, 1), (3, 3), (2, 2), (0, 0)), start=0, finals={1})
+_RAW_REPORT = trim(_RAW)
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        _RAW_REPORT._replace(removed_unreachable=frozenset()),
+        _RAW_REPORT._replace(merged_into_sink=frozenset({2, 3})),
+        _RAW_REPORT._replace(sink=None),
+        _RAW_REPORT._replace(
+            trimmed=Dfa(delta=((1, 2), (1, 1), (2, 2)), start=0, finals={1, 2})
+        ),
+    ],
+    ids=["removed", "merged", "sink", "finals"],
+)
+def test_examine_flags_a_trim_report_that_the_closure_contradicts(wrong):
+    assert _RAW_REPORT.removed_unreachable == {4} and _RAW_REPORT.sink == 2
+    assert _examine(_RAW_REPORT.trimmed, _RAW, _RAW_REPORT) == ("not-well-ordered", 2, None)
+    assert _examine(wrong.trimmed, _RAW, wrong) == ("not-well-ordered", 0, "trim-closure")
 
 
 def test_closure_heights_match_condense_exhaustively():

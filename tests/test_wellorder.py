@@ -11,6 +11,7 @@ import ordfa
 from machines import M_0STAR1, M_CYCLE2, M_EPS, M_ONESTAR, trim_dfas
 from ordfa.dfa import Dfa, NotTrimError, trim
 from ordfa.lexorder import NoMinimumError, min_word
+from ordfa import wellorder
 from ordfa.oracle import exhaustive_trim_dfas, naive_check, random_trim_dfa
 from ordfa.wellorder import (
     Witness,
@@ -179,6 +180,17 @@ def test_replay_depth_is_bounded_by_the_state_count():
     t0 = time.perf_counter()
     assert verify_witness(M_0STAR1, w, 10**12)
     assert time.perf_counter() - t0 < 0.5
+
+
+def test_passing_replay_builds_no_chain_word(monkeypatch):
+    # The words of the chain only describe a failure.
+    def chain(w, n):
+        raise AssertionError(f"chain[{n}] was built")
+
+    monkeypatch.setattr(wellorder, "witness_chain", chain)
+    for m in (M_0STAR1, random_trim_dfa(3, 8)):
+        w = check(m).witness
+        assert witness_failure(m, w, 32) is None
 
 
 def test_verify_witness_depth_zero_checks_nothing():
