@@ -215,6 +215,12 @@ MUTANTS = [
     ("replay-steps-on-the-1-edge", "src/ordfa/wellorder.py",
      "        s = row[0]",
      "        s = row[1]"),
+    ("trim-reference-leaves-a-second-dead-state-unmerged", "src/ordfa/oracle.py",
+     "    merged = dead[1:]",
+     "    merged = dead[2:]"),
+    ("trim-reference-keeps-an-unreached-final-state", "src/ordfa/oracle.py",
+     "    reach = clo[0]",
+     "    reach = clo[0] | finals"),
 ]
 
 

@@ -78,8 +78,6 @@ def _first_failing_state(m: Dfa, clo: list[int]) -> int | None:
         (q for q, (a, b) in enumerate(m.delta) if a == b == q and q not in m.finals),
         None,
     )
-    # `_closure` counts one or more steps; on0 == q needs no case of its
-    # own, since then q's 0-edge itself puts q into clo[on0].
     for q, (on0, on1) in enumerate(m.delta):
         if q != snk and on1 != snk and clo[on0] >> q & 1:
             return q
@@ -165,8 +163,10 @@ def _random_raw_dfa(seed: int, states: int) -> Dfa:
 
 
 def _closure(rows: tuple[tuple[int, int], ...]) -> list[int]:
-    """Reachability in one or more steps, as bitmasks."""
-    clo = [(1 << a) | (1 << b) for a, b in rows]
+    """Reachability in zero or more steps, as bitmasks: bit p of clo[q]
+    is set when some word, the empty one included, leads from q to p,
+    so bit q of clo[q] is always set."""
+    clo = [(1 << q) | (1 << a) | (1 << b) for q, (a, b) in enumerate(rows)]
     changed = True
     while changed:
         changed = False
@@ -178,72 +178,30 @@ def _closure(rows: tuple[tuple[int, int], ...]) -> list[int]:
     return clo
 
 
-def _trim_key(rows, finals_mask, clo):
-    """Canonical (delta, finals) of the trimmed automaton with start 0.
-
-    Mirrors dfa.trim exactly: kept states keep their relative order and
-    all dead states collapse onto the smallest reachable dead index.
-    """
-    n = len(rows)
-    reach = 1 | clo[0]
-    live = 0
-    for q in range(n):
-        if ((1 << q) | clo[q]) & finals_mask:
-            live |= 1 << q
-    live_r = reach & live
-    dead_r = reach & ~live
-    if not live_r & 1:
-        return ((0, 0),), ()
-    if dead_r:
-        sink_old = (dead_r & -dead_r).bit_length() - 1
-        kept_mask = live_r | (1 << sink_old)
-    else:
-        sink_old = -1
-        kept_mask = live_r
-    kept = [q for q in range(n) if (kept_mask >> q) & 1]
-    new_index = {old: i for i, old in enumerate(kept)}
-    sink_new = new_index.get(sink_old)
-    out_rows = []
-    for old in kept:
-        if old == sink_old:
-            out_rows.append((sink_new, sink_new))
-        else:
-            a, b = rows[old]
-            out_rows.append(
-                (
-                    new_index[a] if (live >> a) & 1 else sink_new,
-                    new_index[b] if (live >> b) & 1 else sink_new,
-                )
-            )
-    finals_new = tuple(
-        new_index[q] for q in kept if (finals_mask >> q) & 1 and (live >> q) & 1
-    )
-    return tuple(out_rows), finals_new
-
-
-def _trim_matches_closure(raw: Dfa, report: TrimReport) -> bool:
-    """Whether `trim`'s report on raw, an automaton with start 0, says
-    what `_trim_key` and the closure table of raw say: the trimmed rows,
-    start and finals, the states the start does not reach, the reached
-    dead states but the least merged into the sink, and the index the
-    least one keeps as the sink."""
+def _trim_by_closure(raw: Dfa) -> TrimReport:
+    """What `trim` must report on raw, an automaton with start 0, read
+    off the closure table of raw: the reached states keep their
+    relative order, every reached dead state but the least merges into
+    that least one, the sink, and the states the start does not reach
+    are removed.  Dead states lead only to dead states, so the sink's
+    edges become its own loops."""
     n = raw.state_count
     clo = _closure(raw.delta)
     finals = sum(1 << q for q in raw.finals)
-    rows, kept_finals = _trim_key(raw.delta, finals, clo)
-    reach = 1 | clo[0]
-    dead = [q for q in range(n) if reach >> q & 1 and not ((1 << q) | clo[q]) & finals]
-    # The sink keeps its place among the reached live states.
-    sink = (reach & ((1 << dead[0]) - 1)).bit_count() if dead else None
-    m = report.trimmed
-    return (
-        m.delta == rows
-        and m.start == 0
-        and m.finals == frozenset(kept_finals)
-        and report.removed_unreachable == frozenset(q for q in range(n) if not reach >> q & 1)
-        and report.merged_into_sink == frozenset(dead[1:])
-        and report.sink == sink
+    reach = clo[0]
+    dead = [q for q in range(n) if reach >> q & 1 and not clo[q] & finals]
+    merged = dead[1:]
+    kept = [q for q in range(n) if reach >> q & 1 and q not in merged]
+    new = {q: i for i, q in enumerate(kept)}
+    sink = new[dead[0]] if dead else None
+    new.update(dict.fromkeys(merged, sink))
+    trimmed = Dfa(
+        delta=tuple((new[a], new[b]) for a, b in (raw.delta[q] for q in kept)),
+        start=new[0],
+        finals=frozenset(new[q] for q in kept if finals >> q & 1),
     )
+    removed = frozenset(q for q in range(n) if not reach >> q & 1)
+    return TrimReport(trimmed, removed, frozenset(merged), sink)
 
 
 def exhaustive_trim_dfas(max_states: int):
@@ -258,8 +216,9 @@ def exhaustive_trim_dfas(max_states: int):
     reaches every state and at most one state is dead.  Trimming any
     other raw automaton gives one with fewer states, which came before,
     and a trim automaton trims to itself, so each result is yielded at
-    its first appearance and no result is remembered.  `_trim_key` is
-    the literal definition; tests pin the two against each other.
+    its first appearance and no result is remembered.  Tests pin this
+    against trimming every raw automaton by `_trim_by_closure` and
+    keeping each result at its first appearance.
     The tables are built here as tuples of in-range int pairs, so each
     automaton is built without `Dfa`'s checks, its memo left empty.
     """
@@ -272,12 +231,10 @@ def exhaustive_trim_dfas(max_states: int):
         ]
         for rows in itertools.product(pairs, repeat=n):
             clo = _closure(rows)
-            if (1 | clo[0]) != everything:
+            if clo[0] != everything:
                 continue
-            # The states each state reaches in zero or more steps.
-            below = [(1 << q) | c for q, c in enumerate(clo)]
             for fmask in range(1 << n):
-                dead = sum(1 for b in below if not b & fmask)
+                dead = sum(1 for c in clo if not c & fmask)
                 if dead <= 1:
                     yield Dfa._unchecked(rows, 0, finals_of[fmask], None)
 
@@ -366,14 +323,12 @@ def _analysis_matches_closure(m: Dfa, clo: list[int]) -> bool:
     a = m.analysis
     ids = a.component_of
     n = m.state_count
-    # The states each state reaches in zero or more steps.
-    below = [(1 << q) | c for q, c in enumerate(clo)]
     finals = sum(1 << q for q in m.finals)
-    if a.live != tuple(bool(b & finals) for b in below):
+    if a.live != tuple(bool(c & finals) for c in clo):
         return False
     if a.dead != tuple(q for q in range(n) if not a.live[q]):
         return False
-    reach = below[m.start]
+    reach = clo[m.start]
     if a.unreachable != n - reach.bit_count():
         return False
     if any((ids[q] < a.reached) != bool(reach >> q & 1) for q in range(n)):
@@ -382,7 +337,7 @@ def _analysis_matches_closure(m: Dfa, clo: list[int]) -> bool:
         if ids[on0] > ids[p] or ids[on1] > ids[p]:
             return False
         for q in range(p + 1, n):
-            if (ids[p] == ids[q]) != bool(below[p] >> q & below[q] >> p & 1):
+            if (ids[p] == ids[q]) != bool(clo[p] >> q & clo[q] >> p & 1):
                 return False
     return True
 
@@ -391,13 +346,12 @@ def _closure_heights(clo: list[int]) -> list[int]:
     """Per state, the number of strong components strictly below its
     own, by the closure table clo of `_closure`: each component is
     counted at its least state."""
-    below = [(1 << q) | c for q, c in enumerate(clo)]
     least = sum(
         1 << p
         for p in range(len(clo))
-        if not any(below[p] >> r & below[r] >> p & 1 for r in range(p))
+        if not any(clo[p] >> r & clo[r] >> p & 1 for r in range(p))
     )
-    return [(b & least).bit_count() - 1 for b in below]
+    return [(c & least).bit_count() - 1 for c in clo]
 
 
 def _examine(m: Dfa, raw: Dfa | None = None, report: TrimReport | None = None):
@@ -406,15 +360,21 @@ def _examine(m: Dfa, raw: Dfa | None = None, report: TrimReport | None = None):
     In seeded mode raw is the automaton with start 0 that `trim` made
     m from, and report is what it returned, so `report.trimmed` is m.
     Returns (verdict, checks_passed, first_failure).
+
+    m is closed once: the one closure table judges the analysis and the
+    heights and gives the failing state that `naive_check` would find,
+    whose witness `check`'s must equal.  Seeded mode closes raw once
+    more, for the trim reference.
     """
     checks = 0
     clo = _closure(m.delta)
-    # The trim and the analysis come first, since `check` and
-    # `naive_check` trust both and a wrong one can make them raise; the
-    # verdict then comes from the closure table alone.  The analysis
-    # read may be one that trim handed over.  It is also the one every
-    # later read gets: a memo, not a pass per read.
-    if raw is not None and not _trim_matches_closure(raw, report):
+    failing = _first_failing_state(m, clo)
+    # The trim and the analysis come first, since `check` trusts both
+    # and a wrong one can make it raise; the verdict then comes from the
+    # closure table alone.  The analysis read may be one that trim
+    # handed over.  It is also the one every later read gets: a memo,
+    # not a pass per read.
+    if raw is not None and report != _trim_by_closure(raw):
         failure = "trim-closure"
     elif m.analysis is not m.analysis or m.analysis != analyze(m):
         failure = "analysis-disagreement"
@@ -423,12 +383,11 @@ def _examine(m: Dfa, raw: Dfa | None = None, report: TrimReport | None = None):
     else:
         failure = None
     if failure:
-        failing = _first_failing_state(m, clo)
         return ("well-ordered" if failing is None else "not-well-ordered"), checks, failure
     fast = check(m)
-    slow = naive_check(m)
+    slow = None if failing is None else build_witness(m, failing)
     verdict = "well-ordered" if fast.well_ordered else "not-well-ordered"
-    if (fast.well_ordered, fast.witness) != (slow.well_ordered, slow.witness):
+    if (fast.well_ordered, fast.witness) != (failing is None, slow):
         return verdict, checks, "check-disagreement"
     # Heights on every case, not only the well-ordered ones: those
     # seldom have a component with two readers and no other path
@@ -491,10 +450,11 @@ def _examine(m: Dfa, raw: Dfa | None = None, report: TrimReport | None = None):
 
 def fuzz(seeds: int, states: int, *, exhaustive: bool = False) -> FuzzReport:
     """Differential sweep: on seeded cases the trim of the raw automaton
-    against `_trim_key` and the reachability closure, the memoized
-    analysis against a fresh pass and against that closure, fast check
-    against naive check, `condense` heights against the closure's count of
-    components below, the `to_json` text against `json.dumps` and back
+    against `_trim_by_closure`, the memoized analysis against a fresh
+    pass and against the reachability closure, `check`'s verdict and
+    witness against the closure's failing state, as `naive_check` finds
+    it, `condense` heights against the closure's count of components
+    below, the `to_json` text against `json.dumps` and back
     through `from_json`, witnesses replayed to completion and compared
     with the least shortest words, and on well-ordered cases the
     order-type invariants (types in normal form that, with their

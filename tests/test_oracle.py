@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -5,15 +6,14 @@ from hypothesis import given, settings
 
 from machines import M_0STAR1, M_CYCLE2, M_EPS, M_ONESTAR, all_words, is_trim, raw_dfas
 from ordfa import oracle
-from ordfa.dfa import Dfa, analyze, condense, shortest_word, to_json, trim
+from ordfa.dfa import Dfa, TrimReport, analyze, condense, shortest_word, to_json, trim
 from ordfa.oracle import (
     BoundTooLargeError,
     FuzzCase,
     _closure,
     _closure_heights,
     _examine,
-    _trim_key,
-    _trim_matches_closure,
+    _trim_by_closure,
     brute_rank,
     enum_bounded,
     exhaustive_trim_dfas,
@@ -183,19 +183,29 @@ def test_exhaustive_yields_distinct_trim_automata():
         assert m.start == 0
 
 
+def _raw_dfas_with_start_0(max_states):
+    """Every complete automaton of at most max_states states with start
+    0, in product order of the rows, then of the finals."""
+    for n in range(1, max_states + 1):
+        pairs = [(a, b) for a in range(n) for b in range(n)]
+        for rows in itertools.product(pairs, repeat=n):
+            for fmask in range(1 << n):
+                yield Dfa(
+                    delta=rows,
+                    start=0,
+                    finals=frozenset(q for q in range(n) if fmask >> q & 1),
+                )
+
+
 def _first_trim_results(max_states):
     """The family by its definition: trim every raw automaton with start
     0, in product order, and keep each result at its first appearance."""
     seen = set()
-    for n in range(1, max_states + 1):
-        pairs = [(a, b) for a in range(n) for b in range(n)]
-        for rows in itertools.product(pairs, repeat=n):
-            clo = _closure(rows)
-            for fmask in range(1 << n):
-                key = _trim_key(rows, fmask, clo)
-                if key not in seen:
-                    seen.add(key)
-                    yield Dfa(delta=key[0], start=0, finals=frozenset(key[1]))
+    for raw in _raw_dfas_with_start_0(max_states):
+        m = _trim_by_closure(raw).trimmed
+        if m not in seen:
+            seen.add(m)
+            yield m
 
 
 @pytest.mark.parametrize("max_states", [1, 2, 3])
@@ -205,44 +215,19 @@ def test_exhaustive_yields_each_trim_result_at_its_first_appearance(max_states):
 
 @settings(max_examples=200)
 @given(raw_dfas(max_states=6))
-def test_trim_key_mirrors_trim(m):
+def test_trim_by_closure_mirrors_trim(m):
     m0 = Dfa(delta=m.delta, start=0, finals=m.finals)
-    rows, finals = _trim_key(
-        m0.delta, sum(1 << q for q in m0.finals), _closure(m0.delta)
-    )
-    assert Dfa(delta=rows, start=0, finals=frozenset(finals)) == trim(m0).trimmed
+    assert trim(m0) == _trim_by_closure(m0)
 
 
-def test_trim_matches_trim_key_exhaustively():
-    # Every raw automaton of at most 3 states with start 0: 5,898 of them.
+def test_trim_matches_trim_by_closure_exhaustively():
+    # Every raw automaton of at most 3 states with start 0: 5,898 of
+    # them.  The reports agree on the rows, start, finals, removed and
+    # merged states and the sink.
     count = 0
-    for n in range(1, 4):
-        pairs = [(a, b) for a in range(n) for b in range(n)]
-        for rows in itertools.product(pairs, repeat=n):
-            clo = _closure(rows)
-            for fmask in range(1 << n):
-                m = Dfa(
-                    delta=rows,
-                    start=0,
-                    finals=frozenset(q for q in range(n) if fmask >> q & 1),
-                )
-                report = trim(m)
-                key_rows, key_finals = _trim_key(rows, fmask, clo)
-                assert report.trimmed.delta == key_rows, m
-                assert report.trimmed.finals == frozenset(key_finals), m
-                # The reachable dead states, by the closure: the least
-                # one stays as the sink and the others merge into it.
-                reach = [q for q in range(n) if q == 0 or clo[0] >> q & 1]
-                dead = [q for q in reach if not ((1 << q) | clo[q]) & fmask]
-                live = [q for q in reach if q not in dead]
-                if dead:
-                    assert report.sink == sum(q < dead[0] for q in live), m
-                else:
-                    assert report.sink is None, m
-                assert report.merged_into_sink == frozenset(dead[1:]), m
-                assert report.removed_unreachable == frozenset(range(n)) - set(reach), m
-                assert _trim_matches_closure(m, report), m
-                count += 1
+    for m in _raw_dfas_with_start_0(3):
+        assert trim(m) == _trim_by_closure(m), m
+        count += 1
     assert count == 5898
 
 
@@ -300,14 +285,14 @@ _CYCLE2_ANALYSIS = analyze(M_CYCLE2)  # ids (2, 2, 1, 0), 3 reached, sink 3
         # every state live: `check` would pass a dead state to
         # `build_witness`, which raises
         _CYCLE2_ANALYSIS._replace(live=(True,) * 4, dead=()),
-        # a state not reached: `naive_check` would raise NotTrimError
+        # a state not reached: `check` would raise NotTrimError
         _CYCLE2_ANALYSIS._replace(unreachable=1),
     ],
 )
 def test_examine_flags_an_analysis_that_the_closure_contradicts(monkeypatch, wrong):
     # A fresh pass that agrees with the wrong memo leaves the closure
-    # table as the only judge.  It judges before `check` and
-    # `naive_check` read the memo, and the verdict is the closure's.
+    # table as the only judge.  It judges before `check` reads the
+    # memo, and the verdict is the closure's.
     m = Dfa(delta=M_CYCLE2.delta, start=M_CYCLE2.start, finals=M_CYCLE2.finals)
     vars(m)["analysis"] = wrong
     monkeypatch.setattr(oracle, "analyze", lambda m: m.analysis)
@@ -334,9 +319,33 @@ _RAW_REPORT = trim(_RAW)
     ids=["removed", "merged", "sink", "finals"],
 )
 def test_examine_flags_a_trim_report_that_the_closure_contradicts(wrong):
-    assert _RAW_REPORT.removed_unreachable == {4} and _RAW_REPORT.sink == 2
+    assert _trim_by_closure(_RAW) == _RAW_REPORT == TrimReport(
+        Dfa(delta=((1, 2), (1, 1), (2, 2)), start=0, finals={1}),
+        removed_unreachable=frozenset({4}),
+        merged_into_sink=frozenset({3}),
+        sink=2,
+    )
     assert _examine(_RAW_REPORT.trimmed, _RAW, _RAW_REPORT) == ("not-well-ordered", 2, None)
     assert _examine(wrong.trimmed, _RAW, wrong) == ("not-well-ordered", 0, "trim-closure")
+
+
+def test_closure_runs_once_per_examined_automaton(monkeypatch):
+    calls = []
+    closure = oracle._closure
+
+    def counting(rows):
+        calls.append(rows)
+        return closure(rows)
+
+    monkeypatch.setattr(oracle, "_closure", counting)
+    # Seeded: m is closed once, and the trim reference closes raw.
+    assert _examine(_RAW_REPORT.trimmed, _RAW, _RAW_REPORT)[2] is None
+    assert calls == [_RAW_REPORT.trimmed.delta, _RAW.delta]
+    # Exhaustive: m alone, on either verdict.
+    for m in (M_CYCLE2, M_0STAR1):
+        calls.clear()
+        assert _examine(m)[2] is None
+        assert calls == [m.delta]
 
 
 def test_closure_heights_match_condense_exhaustively():
@@ -369,7 +378,7 @@ def test_examine_flags_a_witness_that_is_not_least(monkeypatch):
     assert check(M_0STAR1).witness == Witness(access="", loop="", tail="", state=0)
     longer = CheckResult(False, Witness(access="00", loop="", tail="", state=0))
     monkeypatch.setattr(oracle, "check", lambda m: longer)
-    monkeypatch.setattr(oracle, "naive_check", lambda m: longer)
+    monkeypatch.setattr(oracle, "build_witness", lambda m, q: longer.witness)
     assert _examine(M_0STAR1) == ("not-well-ordered", 1, "witness-not-least")
 
 
@@ -449,6 +458,22 @@ def test_fuzz_rejects_counts_that_examine_nothing(monkeypatch, seeds, states, me
         fuzz(seeds, states)
     with pytest.raises(ValueError, match=message):
         fuzz(seeds, states, exhaustive=True)
+
+
+# The bytes of `ordfa fuzz --seeds 2000 --states 8` and of `ordfa fuzz
+# --exhaustive --states 3`.  A change that alters them on purpose
+# updates the hash here and says why.
+@pytest.mark.parametrize(
+    "seeds, states, exhaustive, digest",
+    [
+        (2000, 8, False, "096ed6471610703c2492a504bad44e96e7043a1e07a357b5627d677e9a5599bd"),
+        (100, 3, True, "87c6d47c29a528fa89ff359f72964681a20529a12fa239701d91df5845c12686"),
+    ],
+    ids=["seeded", "exhaustive"],
+)
+def test_fuzz_output_is_pinned(seeds, states, exhaustive, digest):
+    text = fuzz(seeds, states, exhaustive=exhaustive).to_tsv()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_fuzz_exhaustive_small():

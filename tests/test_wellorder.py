@@ -61,12 +61,14 @@ def test_check_nontrivial_witness_parts():
 
 
 def test_check_requires_trim():
+    # `naive_check` has the same gate, with the same messages.
     not_trim = Dfa(delta=((0, 1), (1, 1)), start=0, finals=frozenset())
-    with pytest.raises(NotTrimError, match=r"^2 states have empty language; run trim first$"):
-        check(not_trim)
     unreachable = Dfa(delta=((0, 0), (1, 1)), start=0, finals=frozenset({0}))
-    with pytest.raises(NotTrimError, match=r"^1 unreachable state\(s\); run trim first$"):
-        check(unreachable)
+    for decide in (check, naive_check):
+        with pytest.raises(NotTrimError, match=r"^2 states have empty language; run trim first$"):
+            decide(not_trim)
+        with pytest.raises(NotTrimError, match=r"^1 unreachable state\(s\); run trim first$"):
+            decide(unreachable)
 
 
 def test_witness_chain_values():
