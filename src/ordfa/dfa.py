@@ -134,10 +134,12 @@ class Dfa:
         analysis, or with the memo left to `analysis` when that is None.
 
         `trim` calls it with the analysis it relabeled, and
-        `oracle.exhaustive_trim_dfas` with None; both pass a table of
-        in-range int pairs that they built themselves as a tuple and
-        finals as a frozenset, exactly the fields a checked Dfa holds,
-        so equality and hashing agree with a checked twin.  The fields
+        `oracle.exhaustive_trim_dfas` and the combinators of `synth`
+        with None.  Each passes a table of in-range int pairs that it
+        built itself as a tuple of tuples, copied or offset from rows
+        of valid automata, an in-range int start and finals as a
+        frozenset: exactly the fields a checked Dfa holds, so equality
+        and hashing agree with a checked twin.  The fields
         and the memo are set in the instance `__dict__` one by one,
         which was cheaper than one `update` call with keywords.
         """

@@ -6,6 +6,12 @@ times-omega step {1^n 0 u : u in L} (type a * w), and the times-c step
 {p u : p in P, u in L} for a set P of c words of one length (type a * c,
 in O(log c) states).  Every result is trim and passes the well-order
 check.
+
+Each combinator writes its table itself, copying or offsetting the rows
+of automata that are already valid, so it builds the table with
+`Dfa._unchecked` and skips the checks `Dfa()` makes of outside input:
+a tuple of in-range int pairs and a frozenset of finals, field for
+field what the checked constructor would hold.
 """
 
 from __future__ import annotations
@@ -21,31 +27,29 @@ class EmptyLanguageError(ValueError):
 
 
 def synth_zero() -> Dfa:
-    return Dfa(delta=((0, 0),), start=0, finals=frozenset())
+    return Dfa._unchecked(((0, 0),), 0, frozenset(), None)
 
 
 def synth_one() -> Dfa:
-    return Dfa(delta=((1, 1), (1, 1)), start=0, finals=frozenset({0}))
+    return Dfa._unchecked(((1, 1), (1, 1)), 0, frozenset({0}), None)
 
 
 def synth_sum(m1: Dfa, m2: Dfa) -> Dfa:
     """Language 0 L(m1) + 1 L(m2); every 0-word comes before every 1-word."""
     n1 = m1.state_count
     n2 = m2.state_count
-    rows = [(a, b) for a, b in m1.delta]
+    rows = list(m1.delta)
     rows += [(a + n1, b + n1) for a, b in m2.delta]
     rows.append((m1.start, m2.start + n1))
-    finals = set(m1.finals) | {q + n1 for q in m2.finals}
-    raw = Dfa(delta=tuple(rows), start=n1 + n2, finals=frozenset(finals))
+    finals = m1.finals | {q + n1 for q in m2.finals}
+    raw = Dfa._unchecked(tuple(rows), n1 + n2, finals, None)
     return trim(raw).trimmed
 
 
 def synth_mul_omega(m: Dfa) -> Dfa:
     """Language {1^n 0 u : u in L(m)}, one copy of L(m) per lap count n."""
     n = m.state_count
-    rows = [(a, b) for a, b in m.delta]
-    rows.append((m.start, n))
-    raw = Dfa(delta=tuple(rows), start=n, finals=m.finals)
+    raw = Dfa._unchecked(m.delta + ((m.start, n),), n, m.finals, None)
     trimmed = trim(raw).trimmed
     if not trimmed.finals:
         raise EmptyLanguageError("cannot iterate an empty language")
@@ -83,7 +87,7 @@ def synth_times(m: Dfa, c: int) -> Dfa:
     ]
     rows += [(free[i + 1], free[i + 1]) for i in range(size)]
     rows.append((sink, sink))
-    raw = Dfa(delta=tuple(rows), start=n, finals=m.finals)
+    raw = Dfa._unchecked(tuple(rows), n, m.finals, None)
     return trim(raw).trimmed
 
 
@@ -91,8 +95,11 @@ def synth(a: Ordinal) -> Dfa:
     """A trim automaton whose language has order type exactly a.
 
     a = w^d*c_d + ... + c_0 is the ordered sum, by descending exponent,
-    of one times-c_k copy of a w^k block per nonzero c_k.
+    of one times-c_k copy of a w^k block per nonzero c_k.  ValueError
+    when a is not an Ordinal (an int, a bool or None included).
     """
+    if not isinstance(a, Ordinal):
+        raise ValueError(f"synth needs an Ordinal, got {a!r}")
     if a.is_zero:
         return synth_zero()
     blocks = [synth_one()]

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from machines import is_trim
+from ordfa.dfa import Dfa
 from ordfa.oracle import enum_bounded
 from ordfa.ordinal import Ordinal, parse_ordinal
 from ordfa.ordtype import order_type
@@ -22,27 +23,36 @@ from ordfa.wellorder import check
 ###############################################################################
 
 
+def _assert_like_checked(m):
+    """m, built without Dfa()'s checks, holds the fields of its checked twin."""
+    twin = Dfa(m.delta, m.start, m.finals)
+    assert type(m.delta) is tuple and all(type(row) is tuple for row in m.delta)
+    assert type(m.finals) is frozenset
+    assert m == twin and hash(m) == hash(twin)
+    return m
+
+
 def test_synth_zero():
-    m = synth_zero()
+    m = _assert_like_checked(synth_zero())
     assert m.state_count == 1
     assert enum_bounded(m, 4) == []
     assert order_type(m).overall == Ordinal.zero()
 
 
 def test_synth_one():
-    m = synth_one()
+    m = _assert_like_checked(synth_one())
     assert enum_bounded(m, 4) == [""]
     assert order_type(m).overall == Ordinal.one()
 
 
 def test_synth_sum_splits_on_first_letter():
-    m = synth_sum(synth_one(), synth_one())
+    m = _assert_like_checked(synth_sum(synth_one(), synth_one()))
     assert enum_bounded(m, 4) == ["0", "1"]
     assert order_type(m).overall == Ordinal.from_int(2)
 
 
 def test_synth_mul_omega_language():
-    m = synth_mul_omega(synth_one())
+    m = _assert_like_checked(synth_mul_omega(synth_one()))
     # each added lap prepends a 1
     assert enum_bounded(m, 4) == ["0", "10", "110", "1110"]
     assert order_type(m).overall == Ordinal.omega()
@@ -57,7 +67,7 @@ def test_synth_mul_omega_rejects_empty():
 def test_synth_sum_keeps_left_below_right():
     left = synth_mul_omega(synth_one())
     right = synth_one()
-    m = synth_sum(left, right)
+    m = _assert_like_checked(synth_sum(left, right))
     words = enum_bounded(m, 6)
     assert words == ["00", "010", "0110", "01110", "011110", "1"]
     assert order_type(m).overall == parse_ordinal("w + 1")
@@ -65,7 +75,7 @@ def test_synth_sum_keeps_left_below_right():
 
 def test_synth_times_language():
     # the three length-2 words below 3, each followed by L(m) = {eps}
-    m = synth_times(synth_one(), 3)
+    m = _assert_like_checked(synth_times(synth_one(), 3))
     assert enum_bounded(m, 4) == ["00", "01", "10"]
     assert synth_times(synth_one(), 1) == synth_one()
 
@@ -97,7 +107,7 @@ _MULTIPLIERS = st.one_of(
 @given(st.lists(st.integers(0, 3), max_size=4), _MULTIPLIERS)
 def test_synth_times_multiplies_types(coeffs, c):
     a = Ordinal(coeffs)
-    m = synth_times(synth(a), c)
+    m = _assert_like_checked(synth_times(synth(a), c))
     assert is_trim(m)
     assert check(m).well_ordered
     assert order_type(m).overall == _times(a, c)
@@ -109,10 +119,17 @@ def test_synth_times_multiplies_types(coeffs, c):
 
 
 def test_synth_examples():
-    assert order_type(synth(Ordinal.omega())).overall == Ordinal.omega()
-    assert synth(Ordinal.omega()).state_count == 3
+    m = _assert_like_checked(synth(Ordinal.omega()))
+    assert order_type(m).overall == Ordinal.omega()
+    assert m.state_count == 3
     a = parse_ordinal("w^2")
-    assert order_type(synth(a)).overall == a
+    assert order_type(_assert_like_checked(synth(a))).overall == a
+
+
+@pytest.mark.parametrize("a", [3, True, None, "w"])
+def test_synth_rejects_an_argument_that_is_not_an_ordinal(a):
+    with pytest.raises(ValueError, match=f"synth needs an Ordinal, got {a!r}"):
+        synth(a)
 
 
 def test_synth_round_trip_mixed():
@@ -141,7 +158,7 @@ def test_synth_size_logarithmic_in_coefficients():
 @given(st.lists(st.integers(0, 3), max_size=4))
 def test_synth_round_trip_random(coeffs):
     a = Ordinal(coeffs)
-    m = synth(a)
+    m = _assert_like_checked(synth(a))
     assert is_trim(m)
     assert check(m).well_ordered
     assert order_type(m).overall == a
@@ -151,5 +168,5 @@ def test_synth_round_trip_random(coeffs):
 @given(st.lists(st.integers(0, 2), max_size=3), st.lists(st.integers(0, 2), max_size=3))
 def test_synth_sum_adds_types(c1, c2):
     a1, a2 = Ordinal(c1), Ordinal(c2)
-    m = synth_sum(synth(a1), synth(a2))
+    m = _assert_like_checked(synth_sum(synth(a1), synth(a2)))
     assert order_type(m).overall == a1 + a2
