@@ -118,13 +118,11 @@ def _cmd_synth(args) -> int:
     except (ordinal.OrdinalParseError, ordinal.DegreeOverflowError) as e:
         raise InputError(f"bad ordinal {reprlib.repr(args.ordinal)}: {e}") from e
     m = synthesize(a)
-    text = dfa.to_json(m)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        dfa.dump(m, args.output)
         print(f"wrote {args.output} ({m.state_count} states)")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(dfa.to_json(m))
     return EXIT_OK
 
 

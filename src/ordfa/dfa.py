@@ -6,8 +6,8 @@ when every state is reachable from the start and at most one state has
 empty language (the sink).  Most analyses in the package assume trim
 input; `trim` produces it and reports what it changed.
 
-The facts the analyses share (which states the start reaches, which
-are live, the dead states, strong component ids) come from one
+The facts the analyses share (strong component ids, which states are
+live, how many states the start does not reach) come from one
 depth-first pass, `analyze`, memoized as `Dfa.analysis`: it runs on
 first use, at most once per automaton, and is freed with it.  `trim`
 runs the same walk from the start alone, so the states the start does
@@ -211,16 +211,15 @@ class Analysis(NamedTuple):
     `component_of[q]` is q's strong-component id.  Ids count components
     in the order Tarjan's algorithm emits them, which is reverse
     topological: every transition leaving a component leads to a
-    smaller id.  `live[q]` says whether q's language is nonempty.  The
-    start reaches exactly the states whose id is below `reached`.
-    `dead` lists the states with empty language in ascending order, and
-    `unreachable` counts the states the start does not reach.
+    smaller id.  The components the start reaches are emitted first,
+    so each state it reaches has a smaller id than each state it does
+    not.  `live[q]` says whether q's language is nonempty; the dead
+    states are the others.  `unreachable` counts the states the start
+    does not reach.
     """
 
     component_of: tuple[int, ...]
     live: tuple[bool, ...]
-    reached: int
-    dead: tuple[int, ...]
     unreachable: int
 
 
@@ -233,25 +232,26 @@ def analyze(m: Dfa) -> Analysis:
     and a live flag.  The components emitted from the start are the
     ones it reaches.  `trim` runs the same walk from the start alone.
     """
-    ids, live, reached, dead, unreachable = _tarjan(m, True)
-    dead.sort()
-    return Analysis(tuple(ids), tuple(live), reached, tuple(dead), unreachable)
+    ids, live, _, _, unreachable = _tarjan(m, True)
+    return Analysis(tuple(ids), tuple(live), unreachable)
 
 
 def _tarjan(m: Dfa, every: bool) -> tuple[list[int], list[bool], int, list[int], int]:
     """Tarjan's walk from the start and then, when every is true, from
-    each state not yet visited, in ascending order: the fields of
-    `Analysis`, as lists, for the states visited.
+    each state not yet visited, in ascending order: (ids, live, reached,
+    dead, unreachable) for the states visited.  `analyze` keeps the ids,
+    the live flags and `unreachable`; only `trim` reads `reached`, the
+    number of components the walk from the start emits, and `dead`, the
+    dead states in emission order.
 
     Component ids count emitted components, and a component is emitted
     only after every component it leads to, so it is live exactly when
     it holds a final state or has an edge into a live component emitted
-    before it.  `dead` lists the dead states in emission order.
-    `reached` and `unreachable` are read when the walk from the start
-    is over.  A state the walk does not visit keeps id n, above every
-    emitted id, and its live flag stays False.  The roots are a flag,
-    not a list: building an iterable of them cost `analyze` about 13%
-    on automata of at most 4 states.
+    before it.  `reached` and `unreachable` are read when the walk from
+    the start is over.  A state the walk does not visit keeps id n, above
+    every emitted id, and its live flag stays False.  The roots are a
+    flag, not a list: building an iterable of them cost `analyze` about
+    13% on automata of at most 4 states.
 
     Iterative, so deep transition chains cannot overflow the Python
     stack: the state being walked, its low value and its next edge are
@@ -343,11 +343,14 @@ def _tarjan(m: Dfa, every: bool) -> tuple[list[int], list[bool], int, list[int],
 
 
 def ensure_trim(m: Dfa) -> None:
+    """NotTrimError unless `m.analysis` says m is trim, counting the
+    unreachable states or, when there are none, the dead states."""
     a = m.analysis
     if a.unreachable:
         raise NotTrimError(f"{a.unreachable} unreachable state(s); run trim first")
-    if len(a.dead) > 1:
-        raise NotTrimError(f"{len(a.dead)} states have empty language; run trim first")
+    dead = a.live.count(False)
+    if dead > 1:
+        raise NotTrimError(f"{dead} states have empty language; run trim first")
 
 
 class TrimReport(NamedTuple):
@@ -404,8 +407,7 @@ def trim(m: Dfa) -> TrimReport:
     ids, live, reached, dead, unreachable = _tarjan(m, False)
     if not unreachable and len(dead) <= 1:  # m is trim
         # The walk covered every state: it is the analysis.
-        a = Analysis(tuple(ids), tuple(live), reached, tuple(dead), 0)
-        m.__dict__.setdefault("analysis", a)
+        m.__dict__.setdefault("analysis", Analysis(tuple(ids), tuple(live), 0))
         return TrimReport(m, frozenset(), frozenset(), dead[0] if dead else None)
     removed, kept, merged, component_of = [], [], [], []
     new_of = [-1] * len(ids)
@@ -424,7 +426,6 @@ def trim(m: Dfa) -> TrimReport:
         else:
             new_of[q] = sink
             merged.append(q)
-    components = reached
     if merged:
         # Merging empties the components of the merged states, unless
         # they share the sink's.  Ids up to the first dead one stay,
@@ -439,7 +440,6 @@ def trim(m: Dfa) -> TrimReport:
             else:
                 k += 1
                 renum[j] = k
-        components = k + 1
         for i, j in enumerate(component_of):
             component_of[i] = renum[j]
     # The sink's edges lead to dead states, so they become its own loops.
@@ -459,13 +459,7 @@ def trim(m: Dfa) -> TrimReport:
         tuple(rows),
         new_of[m.start],
         frozenset(finals),
-        Analysis(
-            tuple(component_of),
-            tuple(new_live),
-            components,
-            () if sink is None else (sink,),
-            0,
-        ),
+        Analysis(tuple(component_of), tuple(new_live), 0),
     )
     return TrimReport(trimmed, frozenset(removed), frozenset(merged), sink)
 

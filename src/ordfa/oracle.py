@@ -179,16 +179,16 @@ def _closure(rows: tuple[tuple[int, int], ...]) -> list[int]:
 
 
 def _trim_by_closure(raw: Dfa) -> TrimReport:
-    """What `trim` must report on raw, an automaton with start 0, read
-    off the closure table of raw: the reached states keep their
-    relative order, every reached dead state but the least merges into
-    that least one, the sink, and the states the start does not reach
-    are removed.  Dead states lead only to dead states, so the sink's
-    edges become its own loops."""
+    """What `trim` must report on raw, read off the closure table of
+    raw: the states its start reaches keep their relative order, every
+    reached dead state but the least merges into that least one, the
+    sink, and the states the start does not reach are removed.  Dead
+    states lead only to dead states, so the sink's edges become its own
+    loops."""
     n = raw.state_count
     clo = _closure(raw.delta)
     finals = sum(1 << q for q in raw.finals)
-    reach = clo[0]
+    reach = clo[raw.start]
     dead = [q for q in range(n) if reach >> q & 1 and not clo[q] & finals]
     merged = dead[1:]
     kept = [q for q in range(n) if reach >> q & 1 and q not in merged]
@@ -197,7 +197,7 @@ def _trim_by_closure(raw: Dfa) -> TrimReport:
     new.update(dict.fromkeys(merged, sink))
     trimmed = Dfa(
         delta=tuple((new[a], new[b]) for a, b in (raw.delta[q] for q in kept)),
-        start=new[0],
+        start=new[raw.start],
         finals=frozenset(new[q] for q in kept if finals >> q & 1),
     )
     removed = frozenset(q for q in range(n) if not reach >> q & 1)
@@ -317,21 +317,16 @@ def _is_normal(t: Ordinal) -> bool:
 
 def _analysis_matches_closure(m: Dfa, clo: list[int]) -> bool:
     """Whether `m.analysis` says what the closure table clo of
-    `_closure(m.delta)` says: the live flags and dead states, which
-    states the start reaches, equal ids exactly where two states reach
-    each other, and no edge to a larger id."""
+    `_closure(m.delta)` says: the live flags, how many states the start
+    does not reach, equal ids exactly where two states reach each
+    other, and no edge to a larger id."""
     a = m.analysis
     ids = a.component_of
     n = m.state_count
     finals = sum(1 << q for q in m.finals)
     if a.live != tuple(bool(c & finals) for c in clo):
         return False
-    if a.dead != tuple(q for q in range(n) if not a.live[q]):
-        return False
-    reach = clo[m.start]
-    if a.unreachable != n - reach.bit_count():
-        return False
-    if any((ids[q] < a.reached) != bool(reach >> q & 1) for q in range(n)):
+    if a.unreachable != n - clo[m.start].bit_count():
         return False
     for p, (on0, on1) in enumerate(m.delta):
         if ids[on0] > ids[p] or ids[on1] > ids[p]:
@@ -354,27 +349,27 @@ def _closure_heights(clo: list[int]) -> list[int]:
     return [(c & least).bit_count() - 1 for c in clo]
 
 
-def _examine(m: Dfa, raw: Dfa | None = None, report: TrimReport | None = None):
-    """Run the differential checks on one automaton.
+def _examine(raw: Dfa, report: TrimReport):
+    """Run the differential checks on one automaton, `report.trimmed`,
+    where report is what `trim(raw)` returned.  Returns (verdict,
+    checks_passed, first_failure).
 
-    In seeded mode raw is the automaton with start 0 that `trim` made
-    m from, and report is what it returned, so `report.trimmed` is m.
-    Returns (verdict, checks_passed, first_failure).
-
-    m is closed once: the one closure table judges the analysis and the
-    heights and gives the failing state that `naive_check` would find,
-    whose witness `check`'s must equal.  Seeded mode closes raw once
-    more, for the trim reference.
+    The trimmed automaton m is closed once: the one closure table
+    judges the analysis and the heights and gives the failing state
+    that `naive_check` would find, whose witness `check`'s must equal.
+    The trim reference closes raw once more, even when raw was trim
+    and m is raw itself.
     """
+    m = report.trimmed
     checks = 0
     clo = _closure(m.delta)
     failing = _first_failing_state(m, clo)
     # The trim and the analysis come first, since `check` trusts both
     # and a wrong one can make it raise; the verdict then comes from the
-    # closure table alone.  The analysis read may be one that trim
-    # handed over.  It is also the one every later read gets: a memo,
-    # not a pass per read.
-    if raw is not None and report != _trim_by_closure(raw):
+    # closure table alone.  The analysis read is the one trim handed
+    # over.  It is also the one every later read gets: a memo, not a
+    # pass per read.
+    if report != _trim_by_closure(raw):
         failure = "trim-closure"
     elif m.analysis is not m.analysis or m.analysis != analyze(m):
         failure = "analysis-disagreement"
@@ -449,9 +444,9 @@ def _examine(m: Dfa, raw: Dfa | None = None, report: TrimReport | None = None):
 
 
 def fuzz(seeds: int, states: int, *, exhaustive: bool = False) -> FuzzReport:
-    """Differential sweep: on seeded cases the trim of the raw automaton
-    against `_trim_by_closure`, the memoized analysis against a fresh
-    pass and against the reachability closure, `check`'s verdict and
+    """Differential sweep: the trim of each raw automaton against
+    `_trim_by_closure`, the analysis that trim hands over against a
+    fresh pass and against the reachability closure, `check`'s verdict and
     witness against the closure's failing state, as `naive_check` finds
     it, `condense` heights against the closure's count of components
     below, the `to_json` text against `json.dumps` and back
@@ -466,6 +461,8 @@ def fuzz(seeds: int, states: int, *, exhaustive: bool = False) -> FuzzReport:
     Seeded mode generates `seeds` random automata and reports one case
     per seed.  Exhaustive mode walks every trim automaton with at most
     `states` states instead (cases are recorded only for failures).
+    Both yield (key, raw automaton), and every case takes one path:
+    `trim`, then `_examine`.  An exhaustive automaton trims to itself.
     A negative seeds, or states below 1, raises ValueError before any
     automaton is examined.
     """
@@ -479,15 +476,12 @@ def fuzz(seeds: int, states: int, *, exhaustive: bool = False) -> FuzzReport:
 
     if exhaustive:
         stream = enumerate(exhaustive_trim_dfas(states))
-    else:  # raw automata, trimmed below as `random_trim_dfa` trims them
+    else:
         stream = ((s, _random_raw_dfa(s, states)) for s in range(seeds))
 
-    for key, m in stream:
-        raw = report = None
-        if not exhaustive:
-            raw, report = m, trim(m)
-            m = report.trimmed
-        verdict, passed, failure = _examine(m, raw, report)
+    for key, raw in stream:
+        report = trim(raw)
+        verdict, passed, failure = _examine(raw, report)
         total += 1
         if verdict == "well-ordered":
             wo += 1
@@ -498,7 +492,7 @@ def fuzz(seeds: int, states: int, *, exhaustive: bool = False) -> FuzzReport:
             if first_failure is None:
                 first_failure = key
         if failure or not exhaustive:
-            cases.append(FuzzCase(key, m.state_count, verdict, passed, failure))
+            cases.append(FuzzCase(key, report.trimmed.state_count, verdict, passed, failure))
     return FuzzReport(
         total=total,
         well_ordered=wo,

@@ -60,7 +60,7 @@ def build_witness(m: Dfa, q: int) -> Witness:
 
 
 def check(m: Dfa) -> CheckResult:
-    """Decide well-orderedness of L(m) for trim m.
+    """Decide well-orderedness of L(m); NotTrimError unless m is trim.
 
     This is the one place the rule is applied (`ordtype.order_type`
     decides through here): state q fails when q.1 is live, which makes
@@ -69,9 +69,8 @@ def check(m: Dfa) -> CheckResult:
     pass per automaton, no condensation).  The reported witness is at
     the smallest failing state index.
     """
+    ensure_trim(m)
     a = m.analysis
-    if a.unreachable or len(a.dead) > 1:
-        ensure_trim(m)  # raises NotTrimError
     ids, live = a.component_of, a.live
     for q, (on0, on1) in enumerate(m.delta):
         if live[on1] and ids[q] == ids[on0]:

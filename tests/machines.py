@@ -38,7 +38,36 @@ def is_trim(m: Dfa) -> bool:
     """The trim predicate, read from `m.analysis`: the start reaches
     every state and at most one state is dead."""
     a = m.analysis
-    return not a.unreachable and len(a.dead) <= 1
+    return not a.unreachable and a.live.count(False) <= 1
+
+
+def dead_states(m: Dfa) -> tuple[int, ...]:
+    """The states that `m.analysis` calls dead, ascending."""
+    return tuple(q for q, live in enumerate(m.analysis.live) if not live)
+
+
+def all_tiny_automata():
+    """Every automaton with at most 3 states, any start and any finals:
+    small enough to walk, and it holds the shapes random draws miss,
+    such as a cycle of non-final states with a single exit."""
+    for n in (1, 2, 3):
+        for rows in itertools.product(itertools.product(range(n), repeat=2), repeat=n):
+            for start in range(n):
+                for mask in range(1 << n):
+                    finals = frozenset(q for q in range(n) if mask >> q & 1)
+                    yield Dfa(delta=rows, start=start, finals=finals)
+
+
+def reached_from(m: Dfa, src: int) -> set[int]:
+    """States a plain forward search from src finds, src included."""
+    seen = {src}
+    todo = [src]
+    while todo:
+        for t in m.delta[todo.pop()]:
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return seen
 
 
 def naive_relation(u: str, v: str) -> LexRelation:

@@ -151,6 +151,8 @@ def test_synth_to_file(tmp_path, capsys):
     assert out == f"wrote {out_path} (4 states)\n"
     m = load(str(out_path))
     assert order_type(m).overall == parse_ordinal("w^2")
+    # The same bytes as the text written to standard output.
+    assert run(capsys, "synth", "w^2")[1].encode() == out_path.read_bytes()
 
 
 def test_synth_to_stdout(capsys):

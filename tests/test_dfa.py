@@ -12,9 +12,12 @@ from machines import (
     M_CYCLE2,
     M_EPS,
     M_ONESTAR,
+    all_tiny_automata,
     all_words,
+    dead_states,
     is_trim,
     raw_dfas,
+    reached_from,
     trim_dfas,
 )
 from ordfa import dfa, lexorder, oracle, ordtype, wellorder
@@ -191,25 +194,13 @@ def test_dfa_is_not_equal_to_the_tuple_of_its_fields():
 ###############################################################################
 
 
-def _all_tiny_automata():
-    """Every automaton with at most 3 states, any start and any finals:
-    small enough to walk, and it holds the shapes random draws miss,
-    such as a cycle of non-final states with a single exit."""
-    for n in (1, 2, 3):
-        for rows in itertools.product(itertools.product(range(n), repeat=2), repeat=n):
-            for start in range(n):
-                for mask in range(1 << n):
-                    finals = frozenset(q for q in range(n) if mask >> q & 1)
-                    yield Dfa(delta=rows, start=start, finals=finals)
-
-
 def test_trim_identity_on_trim_automaton():
     for m in FIXTURES:
         report = trim(m)
         assert report.trimmed == m
         assert report.removed_unreachable == frozenset()
         assert report.merged_into_sink == frozenset()
-        assert m.analysis.dead == (() if report.sink is None else (report.sink,))
+        assert dead_states(m) == (() if report.sink is None else (report.sink,))
 
 
 def test_trim_of_a_trim_automaton_is_the_automaton_itself():
@@ -226,7 +217,7 @@ def test_trim_merges_two_dead_states():
     report = trim(m)
     t = report.trimmed
     assert t.state_count == 2
-    assert t.analysis.dead == (report.sink,) == (1,)
+    assert dead_states(t) == (report.sink,) == (1,)
     assert t.delta == ((1, 1), (1, 1))  # both dead states became the sink
     assert report.merged_into_sink == frozenset({2})
     assert report.removed_unreachable == frozenset()
@@ -300,7 +291,7 @@ def _assert_trimmed_analysis_is_exact(m):
 
 
 def test_trimmed_analysis_is_exact_on_all_tiny_automata():
-    for m in _all_tiny_automata():
+    for m in all_tiny_automata():
         _assert_trimmed_analysis_is_exact(m)
 
 
@@ -349,8 +340,6 @@ def test_trimmed_analysis_puts_the_sink_where_the_first_dead_component_was():
     assert t.analysis == dfa.Analysis(
         component_of=(3, 0, 2, 1),
         live=(True, False, True, True),
-        reached=4,
-        dead=(1,),
         unreachable=0,
     )
     _assert_trimmed_analysis_is_exact(m)
@@ -458,7 +447,7 @@ def _assert_condense_keeps_the_analysis_numbering(m):
     )
     # Heights by plain reachability: a component is the set of states
     # that reach and are reached by one of its states.
-    reach = [_reached_from(m, q) for q in range(n)]
+    reach = [reached_from(m, q) for q in range(n)]
     comp = [frozenset(p for p in reach[q] if q in reach[p]) for q in range(n)]
     for q in range(n):
         below = {comp[t] for t in reach[q]} - {comp[q]}
@@ -562,26 +551,15 @@ def test_condense_frees_each_mask_after_its_last_reader():
 ###############################################################################
 
 
-def _reached_from(m, src):
-    """States a plain forward search from src finds, src included."""
-    seen = {src}
-    todo = [src]
-    while todo:
-        for t in m.delta[todo.pop()]:
-            if t not in seen:
-                seen.add(t)
-                todo.append(t)
-    return seen
-
-
 def _assert_analysis_matches_plain_searches(m):
     a = analyze(m)
     ids = a.component_of
-    reach = {q: _reached_from(m, q) for q in range(m.state_count)}
-    assert {q for q in range(m.state_count) if ids[q] < a.reached} == reach[m.start]
+    reach = {q: reached_from(m, q) for q in range(m.state_count)}
     assert a.unreachable == m.state_count - len(reach[m.start])
+    # The states the start reaches come first: `trim` relies on it.
+    unreached = set(range(m.state_count)) - reach[m.start]
+    assert all(ids[p] < ids[q] for p in reach[m.start] for q in unreached)
     assert a.live == tuple(bool(reach[q] & m.finals) for q in range(m.state_count))
-    assert a.dead == tuple(q for q in range(m.state_count) if not a.live[q])
     for p in range(m.state_count):
         for q in range(m.state_count):
             assert (ids[p] == ids[q]) == (q in reach[p] and p in reach[q])
@@ -595,7 +573,7 @@ def test_analysis_matches_plain_searches(m):
 
 
 def test_analysis_matches_plain_searches_on_all_tiny_automata():
-    for m in _all_tiny_automata():
+    for m in all_tiny_automata():
         _assert_analysis_matches_plain_searches(m)
 
 
@@ -635,16 +613,15 @@ def _recursive_tarjan(m):
             emitted += 1
 
     visit(m.start)
-    reached, unreachable = emitted, n - len(index)
+    unreachable = n - len(index)
     for root in range(n):
         if root not in index:
             visit(root)
-    dead = tuple(q for q in range(n) if not live[q])
-    return dfa.Analysis(tuple(comp_of), tuple(live), reached, dead, unreachable)
+    return dfa.Analysis(tuple(comp_of), tuple(live), unreachable)
 
 
 def test_analysis_numbering_matches_recursive_tarjan_on_all_tiny_automata():
-    for m in _all_tiny_automata():
+    for m in all_tiny_automata():
         assert analyze(m) == _recursive_tarjan(m), m
 
 
@@ -663,7 +640,7 @@ def test_analysis_of_a_long_0_chain():
     delta = tuple((i + 1, last) for i in range(last)) + ((last, last),)
     a = analyze(Dfa(delta, 0, {last}))
     assert a.component_of == tuple(n - 1 - i for i in range(n))
-    assert a == dfa.Analysis(a.component_of, (True,) * n, n, (), 0)
+    assert a == dfa.Analysis(a.component_of, (True,) * n, 0)
 
 
 ###############################################################################
@@ -730,7 +707,7 @@ def test_memos_leave_equality_and_hash_alone():
 def test_the_sink_is_the_dead_state():
     for m, sink in ((M_ONESTAR, 1), (M_CYCLE2, 3), (Dfa(((0, 0),), 0, {0}), None)):
         assert trim(m).sink == sink
-        assert m.analysis.dead == (() if sink is None else (sink,))
+        assert dead_states(m) == (() if sink is None else (sink,))
 
 
 def test_shortest_word_prefers_zero():
@@ -768,7 +745,7 @@ def _json_dumps_text(m):
 
 
 def test_json_writer_matches_json_dumps_on_all_tiny_automata():
-    for m in _all_tiny_automata():
+    for m in all_tiny_automata():
         assert to_json(m) == _json_dumps_text(m)
 
 

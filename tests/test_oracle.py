@@ -4,7 +4,16 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
-from machines import M_0STAR1, M_CYCLE2, M_EPS, M_ONESTAR, all_words, is_trim, raw_dfas
+from machines import (
+    M_0STAR1,
+    M_CYCLE2,
+    M_EPS,
+    M_ONESTAR,
+    all_tiny_automata,
+    all_words,
+    is_trim,
+    raw_dfas,
+)
 from ordfa import oracle
 from ordfa.dfa import Dfa, TrimReport, analyze, condense, shortest_word, to_json, trim
 from ordfa.oracle import (
@@ -125,7 +134,7 @@ def test_examine_well_ordered_chain_beyond_the_enumeration_cap():
     delta = tuple((sink, q + 1) for q in range(24)) + ((sink, sink), (sink, sink))
     m = Dfa(delta=delta, start=0, finals=frozenset(range(25)))
     assert m.state_count == 26 and is_trim(m)
-    assert _examine(m) == ("well-ordered", 5, None)
+    assert _examine(m, trim(m)) == ("well-ordered", 5, None)
 
 
 def test_brute_rank_matches_literal_filter():
@@ -216,19 +225,18 @@ def test_exhaustive_yields_each_trim_result_at_its_first_appearance(max_states):
 @settings(max_examples=200)
 @given(raw_dfas(max_states=6))
 def test_trim_by_closure_mirrors_trim(m):
-    m0 = Dfa(delta=m.delta, start=0, finals=m.finals)
-    assert trim(m0) == _trim_by_closure(m0)
+    assert trim(m) == _trim_by_closure(m)
 
 
 def test_trim_matches_trim_by_closure_exhaustively():
-    # Every raw automaton of at most 3 states with start 0: 5,898 of
+    # Every raw automaton of at most 3 states with any start: 17,626 of
     # them.  The reports agree on the rows, start, finals, removed and
     # merged states and the sink.
     count = 0
-    for m in _raw_dfas_with_start_0(3):
+    for m in all_tiny_automata():
         assert trim(m) == _trim_by_closure(m), m
         count += 1
-    assert count == 5898
+    assert count == 17626
 
 
 ###############################################################################
@@ -264,27 +272,30 @@ def test_fuzz_single_case():
 def test_examine_flags_an_analysis_that_a_fresh_pass_does_not_find():
     # A Dfa of its own, so the wrong memo stays out of the shared fixture.
     m = Dfa(delta=M_0STAR1.delta, start=M_0STAR1.start, finals=M_0STAR1.finals)
-    vars(m)["analysis"] = analyze(m)._replace(reached=m.analysis.reached + 1)
-    assert _examine(m) == ("not-well-ordered", 0, "analysis-disagreement")
+    vars(m)["analysis"] = analyze(m)._replace(unreachable=1)
+    assert _examine(m, trim(m)) == ("not-well-ordered", 0, "analysis-disagreement")
 
 
-_CYCLE2_ANALYSIS = analyze(M_CYCLE2)  # ids (2, 2, 1, 0), 3 reached, sink 3
+_CYCLE2_ANALYSIS = analyze(M_CYCLE2)  # ids (2, 2, 1, 0), sink 3
 
 
 @pytest.mark.parametrize(
     "wrong",
     [
-        _CYCLE2_ANALYSIS._replace(dead=()),
-        _CYCLE2_ANALYSIS._replace(reached=2),
+        # the final state 2 dead
+        _CYCLE2_ANALYSIS._replace(live=(True, True, False, False)),
+        # the final state 2 in the cycle's component, which it does
+        # not reach
+        _CYCLE2_ANALYSIS._replace(component_of=(2, 2, 2, 0)),
         # the cycle 0 <-> 1 split, so its 1 -> 0 edge leads up
-        _CYCLE2_ANALYSIS._replace(component_of=(3, 2, 1, 0), reached=4),
+        _CYCLE2_ANALYSIS._replace(component_of=(3, 2, 1, 0)),
         # the final state 2 and the sink 3 in one component
-        _CYCLE2_ANALYSIS._replace(component_of=(1, 1, 0, 0), reached=2),
+        _CYCLE2_ANALYSIS._replace(component_of=(1, 1, 0, 0)),
         # every edge leads up
         _CYCLE2_ANALYSIS._replace(component_of=(0, 0, 1, 2)),
         # every state live: `check` would pass a dead state to
         # `build_witness`, which raises
-        _CYCLE2_ANALYSIS._replace(live=(True,) * 4, dead=()),
+        _CYCLE2_ANALYSIS._replace(live=(True,) * 4),
         # a state not reached: `check` would raise NotTrimError
         _CYCLE2_ANALYSIS._replace(unreachable=1),
     ],
@@ -296,7 +307,7 @@ def test_examine_flags_an_analysis_that_the_closure_contradicts(monkeypatch, wro
     m = Dfa(delta=M_CYCLE2.delta, start=M_CYCLE2.start, finals=M_CYCLE2.finals)
     vars(m)["analysis"] = wrong
     monkeypatch.setattr(oracle, "analyze", lambda m: m.analysis)
-    assert _examine(m) == ("well-ordered", 0, "analysis-closure")
+    assert _examine(m, trim(m)) == ("well-ordered", 0, "analysis-closure")
 
 
 # Start 0 reaches 0 to 3; 1 is final with both edges to itself, 2 and 3
@@ -325,8 +336,8 @@ def test_examine_flags_a_trim_report_that_the_closure_contradicts(wrong):
         merged_into_sink=frozenset({3}),
         sink=2,
     )
-    assert _examine(_RAW_REPORT.trimmed, _RAW, _RAW_REPORT) == ("not-well-ordered", 2, None)
-    assert _examine(wrong.trimmed, _RAW, wrong) == ("not-well-ordered", 0, "trim-closure")
+    assert _examine(_RAW, _RAW_REPORT) == ("not-well-ordered", 2, None)
+    assert _examine(_RAW, wrong) == ("not-well-ordered", 0, "trim-closure")
 
 
 def test_closure_runs_once_per_examined_automaton(monkeypatch):
@@ -338,14 +349,15 @@ def test_closure_runs_once_per_examined_automaton(monkeypatch):
         return closure(rows)
 
     monkeypatch.setattr(oracle, "_closure", counting)
-    # Seeded: m is closed once, and the trim reference closes raw.
-    assert _examine(_RAW_REPORT.trimmed, _RAW, _RAW_REPORT)[2] is None
+    # The trimmed automaton is closed once, and then the trim reference
+    # closes raw: a seeded raw automaton, or a trim one, as exhaustive
+    # mode gives, on either verdict, which is its own trimmed automaton.
+    assert _examine(_RAW, _RAW_REPORT)[2] is None
     assert calls == [_RAW_REPORT.trimmed.delta, _RAW.delta]
-    # Exhaustive: m alone, on either verdict.
     for m in (M_CYCLE2, M_0STAR1):
         calls.clear()
-        assert _examine(m)[2] is None
-        assert calls == [m.delta]
+        assert _examine(m, trim(m))[2] is None
+        assert calls == [m.delta, m.delta]
 
 
 def test_closure_heights_match_condense_exhaustively():
@@ -361,7 +373,7 @@ def test_examine_flags_heights_that_the_closure_contradicts(monkeypatch, m):
     wrong = right._replace(height_of=(right.height_of[0] - 1, *right.height_of[1:]))
     monkeypatch.setattr(oracle, "condense", lambda m: wrong)
     verdict = "well-ordered" if check(m).well_ordered else "not-well-ordered"
-    assert _examine(m) == (verdict, 0, "height-closure")
+    assert _examine(m, trim(m)) == (verdict, 0, "height-closure")
 
 
 def test_examine_flags_an_analysis_that_is_not_kept(monkeypatch):
@@ -369,7 +381,7 @@ def test_examine_flags_an_analysis_that_is_not_kept(monkeypatch):
     # right, but it is not the memo that trim hands over.
     m = Dfa(delta=M_0STAR1.delta, start=M_0STAR1.start, finals=M_0STAR1.finals)
     monkeypatch.setattr(Dfa, "analysis", property(analyze))
-    assert _examine(m) == ("not-well-ordered", 0, "analysis-disagreement")
+    assert _examine(m, trim(m)) == ("not-well-ordered", 0, "analysis-disagreement")
 
 
 def test_examine_flags_a_witness_that_is_not_least(monkeypatch):
@@ -379,7 +391,7 @@ def test_examine_flags_a_witness_that_is_not_least(monkeypatch):
     longer = CheckResult(False, Witness(access="00", loop="", tail="", state=0))
     monkeypatch.setattr(oracle, "check", lambda m: longer)
     monkeypatch.setattr(oracle, "build_witness", lambda m, q: longer.witness)
-    assert _examine(M_0STAR1) == ("not-well-ordered", 1, "witness-not-least")
+    assert _examine(M_0STAR1, trim(M_0STAR1)) == ("not-well-ordered", 1, "witness-not-least")
 
 
 def test_examine_flags_a_type_that_is_not_in_normal_form(monkeypatch):
@@ -391,7 +403,7 @@ def test_examine_flags_a_type_that_is_not_in_normal_form(monkeypatch):
     types = tuple(padded if q == table.start else t for q, t in enumerate(table.per_state))
     bad = OrderTypeTable(per_state=types, start=table.start)
     monkeypatch.setattr(oracle, "order_type", lambda m: bad)
-    assert _examine(M_ONESTAR) == ("well-ordered", 1, "type-not-normal")
+    assert _examine(M_ONESTAR, trim(M_ONESTAR)) == ("well-ordered", 1, "type-not-normal")
 
 
 @pytest.mark.parametrize("fault", ["text", "reading"])
@@ -403,7 +415,7 @@ def test_examine_flags_json_that_does_not_round_trip(monkeypatch, fault):
         monkeypatch.setattr(oracle, "to_json", lambda m: to_json(m).replace("[]", "[\n  ]"))
     else:
         monkeypatch.setattr(oracle, "from_json", lambda text: M_EPS)
-    assert _examine(m) == ("well-ordered", 0, "json-text")
+    assert _examine(m, trim(m)) == ("well-ordered", 0, "json-text")
 
 
 def test_examine_flags_types_that_do_not_format_back(monkeypatch):
@@ -421,7 +433,7 @@ def test_examine_flags_types_that_do_not_format_back(monkeypatch):
         return " + ".join(terms[::-1] + ([finite] if finite else []))
 
     monkeypatch.setattr(oracle, "format_ordinal", ascending)
-    assert _examine(m) == ("well-ordered", 1, "type-format")
+    assert _examine(m, trim(m)) == ("well-ordered", 1, "type-format")
 
 
 def test_examine_flags_a_type_above_the_start_type(monkeypatch):
@@ -431,14 +443,14 @@ def test_examine_flags_a_type_above_the_start_type(monkeypatch):
     assert table.start == 0 and table.per_state[1] == Ordinal.omega()
     bad = OrderTypeTable(per_state=(Ordinal.zero(),) + table.per_state[1:], start=0)
     monkeypatch.setattr(oracle, "order_type", lambda m: bad)
-    assert _examine(M_CYCLE2) == ("well-ordered", 2, "type-above-start")
+    assert _examine(M_CYCLE2, trim(M_CYCLE2)) == ("well-ordered", 2, "type-above-start")
 
 
 def test_examine_flags_ranks_that_do_not_increase_in_word_order(monkeypatch):
     # 1* ranks its words 0, 1, 2, ...; equal ranks for two words, even
     # infinite ones, break the order.
     monkeypatch.setattr(oracle, "rank", lambda m, w, table: Ordinal.omega())
-    assert _examine(M_ONESTAR) == ("well-ordered", 4, "rank-order")
+    assert _examine(M_ONESTAR, trim(M_ONESTAR)) == ("well-ordered", 4, "rank-order")
 
 
 @pytest.mark.parametrize(

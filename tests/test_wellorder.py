@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 
 import ordfa
-from machines import M_0STAR1, M_CYCLE2, M_EPS, M_ONESTAR, trim_dfas
+from machines import (
+    M_0STAR1,
+    M_CYCLE2,
+    M_EPS,
+    M_ONESTAR,
+    all_tiny_automata,
+    reached_from,
+    trim_dfas,
+)
 from ordfa.dfa import Dfa, NotTrimError, trim
 from ordfa.lexorder import NoMinimumError, min_word
 from ordfa import wellorder
@@ -69,6 +77,27 @@ def test_check_requires_trim():
             decide(not_trim)
         with pytest.raises(NotTrimError, match=r"^1 unreachable state\(s\); run trim first$"):
             decide(unreachable)
+
+
+def test_check_requires_trim_on_all_tiny_automata():
+    # Every automaton of at most 3 states, any start: a non-trim one is
+    # refused by both routes, with the count that plain searches give.
+    refused = 0
+    for m in all_tiny_automata():
+        reach = reached_from(m, m.start)
+        dead = sum(1 for q in range(m.state_count) if not reached_from(m, q) & m.finals)
+        if len(reach) < m.state_count:
+            message = f"{m.state_count - len(reach)} unreachable state(s); run trim first"
+        elif dead > 1:
+            message = f"{dead} states have empty language; run trim first"
+        else:
+            continue
+        refused += 1
+        for decide in (check, naive_check):
+            with pytest.raises(NotTrimError) as e:
+                decide(m)
+            assert str(e.value) == message
+    assert refused == 8792
 
 
 def test_witness_chain_values():
