@@ -324,6 +324,26 @@ MUTANTS = [
      "    ensure_trim(m)",
      "    pass",
      "test_wellorder.py::test_check_requires_trim"),
+    ("examine-closes-raw-for-the-trimmed-table", "src/ordfa/oracle.py",
+     "    clo = raw_clo if m is raw else _closure(m.delta)",
+     "    clo = raw_clo",
+     "test_oracle.py::test_fuzz_seeded_clean"),
+    ("examine-closes-a-trim-table-twice", "src/ordfa/oracle.py",
+     "    clo = raw_clo if m is raw else _closure(m.delta)",
+     "    clo = _closure(m.delta)",
+     "test_oracle.py::test_closure_runs_once_per_examined_automaton"),
+    ("check-disagreement-ignores-the-failing-state", "src/ordfa/oracle.py",
+     '    if (fast.well_ordered, getattr(fast.witness, "state", None)) != (failing is None, failing):',
+     "    if fast.well_ordered != (failing is None):",
+     "test_oracle.py::test_examine_flags_a_check_that_the_closure_contradicts[state]"),
+    ("memo-check-reads-the-memo-it-fills", "src/ordfa/oracle.py",
+     '    if vars(m).get("analysis") is not m.analysis or m.analysis != analyze(m):',
+     "    if m.analysis is not m.analysis or m.analysis != analyze(m):",
+     "test_oracle.py::test_examine_flags_a_trim_output_without_its_memo[relabeled]"),
+    ("rank-enumeration-counts-the-word-itself", "src/ordfa/oracle.py",
+     "        if bisect.bisect_left(listed, w) != r:",
+     "        if bisect.bisect_right(listed, w) != r:",
+     "test_oracle.py::test_fuzz_seeded_clean"),
 ]
 
 

@@ -9,6 +9,7 @@ generated automata.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import random
@@ -178,15 +179,14 @@ def _closure(rows: tuple[tuple[int, int], ...]) -> list[int]:
     return clo
 
 
-def _trim_by_closure(raw: Dfa) -> TrimReport:
-    """What `trim` must report on raw, read off the closure table of
-    raw: the states its start reaches keep their relative order, every
-    reached dead state but the least merges into that least one, the
-    sink, and the states the start does not reach are removed.  Dead
-    states lead only to dead states, so the sink's edges become its own
-    loops."""
+def _trim_by_closure(raw: Dfa, clo: list[int]) -> TrimReport:
+    """What `trim` must report on raw, read off the closure table clo
+    of `_closure(raw.delta)`: the states its start reaches keep their
+    relative order, every reached dead state but the least merges into
+    that least one, the sink, and the states the start does not reach
+    are removed.  Dead states lead only to dead states, so the sink's
+    edges become its own loops."""
     n = raw.state_count
-    clo = _closure(raw.delta)
     finals = sum(1 << q for q in raw.finals)
     reach = clo[raw.start]
     dead = [q for q in range(n) if reach >> q & 1 and not clo[q] & finals]
@@ -220,7 +220,9 @@ def exhaustive_trim_dfas(max_states: int):
     against trimming every raw automaton by `_trim_by_closure` and
     keeping each result at its first appearance.
     The tables are built here as tuples of in-range int pairs, so each
-    automaton is built without `Dfa`'s checks, its memo left empty.
+    automaton is built without `Dfa`'s checks, its memo left empty for
+    `trim` to fill; `trim` returns each one itself, and `_examine` then
+    reuses raw's closure for it.
     """
     for n in range(1, max_states + 1):
         everything = (1 << n) - 1
@@ -276,13 +278,8 @@ class FuzzReport(NamedTuple):
 
 
 def _rank_consistency(m: Dfa, table) -> str | None:
-    # Every rank, infinite ones included, sorted by word.
-    ranked = sorted(
-        (w, rank(m, w, table))
-        for length in range(RANK_CHECK_LEN + 1)
-        for w in map("".join, itertools.product("01", repeat=length))
-        if m.accepts(w)
-    )
+    # Every rank, infinite ones included, in word order.
+    ranked = [(w, rank(m, w, table)) for w in enum_bounded(m, RANK_CHECK_LEN)]
     if any(not r < s for (_, r), (_, s) in zip(ranked, ranked[1:])):
         return "rank-order"
     finite = [(w, r.as_int()) for w, r in ranked if r.is_finite]
@@ -294,11 +291,8 @@ def _rank_consistency(m: Dfa, table) -> str | None:
         if not a < b:
             return "enumeration-order"
     for w, r in finite:
-        if len(listed) < r:
-            return "rank-enumeration"
-        if any(not v < w for v in listed[:r]):
-            return "rank-enumeration"
-        if len(listed) > r and listed[r] < w:
+        # listed is strictly increasing: exactly r of its words lie below w.
+        if bisect.bisect_left(listed, w) != r:
             return "rank-enumeration"
         bound = len(w) + m.state_count
         if brute_rank(m, w, bound) != r or brute_rank(m, w, bound + 1) != r:
@@ -354,35 +348,30 @@ def _examine(raw: Dfa, report: TrimReport):
     where report is what `trim(raw)` returned.  Returns (verdict,
     checks_passed, first_failure).
 
-    The trimmed automaton m is closed once: the one closure table
-    judges the analysis and the heights and gives the failing state
-    that `naive_check` would find, whose witness `check`'s must equal.
-    The trim reference closes raw once more, even when raw was trim
-    and m is raw itself.
+    Each distinct table is closed once: raw for the trim reference,
+    and the trimmed automaton m, unless m is raw itself (raw was trim),
+    whose closure then serves both.  m's closure judges the analysis
+    and the heights and gives the failing state that `naive_check`
+    would find, and with it the verdict; `check` must name that state.
     """
     m = report.trimmed
     checks = 0
-    clo = _closure(m.delta)
+    raw_clo = _closure(raw.delta)
+    clo = raw_clo if m is raw else _closure(m.delta)
     failing = _first_failing_state(m, clo)
+    verdict = "well-ordered" if failing is None else "not-well-ordered"
     # The trim and the analysis come first, since `check` trusts both
-    # and a wrong one can make it raise; the verdict then comes from the
-    # closure table alone.  The analysis read is the one trim handed
-    # over.  It is also the one every later read gets: a memo, not a
-    # pass per read.
-    if report != _trim_by_closure(raw):
-        failure = "trim-closure"
-    elif m.analysis is not m.analysis or m.analysis != analyze(m):
-        failure = "analysis-disagreement"
-    elif not _analysis_matches_closure(m, clo):
-        failure = "analysis-closure"
-    else:
-        failure = None
-    if failure:
-        return ("well-ordered" if failing is None else "not-well-ordered"), checks, failure
+    # and a wrong one can make it raise.  The analysis read is the memo
+    # that trim handed over, in m's `__dict__` before the first read,
+    # and every later read gets that one record, not a pass per read.
+    if report != _trim_by_closure(raw, raw_clo):
+        return verdict, checks, "trim-closure"
+    if vars(m).get("analysis") is not m.analysis or m.analysis != analyze(m):
+        return verdict, checks, "analysis-disagreement"
+    if not _analysis_matches_closure(m, clo):
+        return verdict, checks, "analysis-closure"
     fast = check(m)
-    slow = None if failing is None else build_witness(m, failing)
-    verdict = "well-ordered" if fast.well_ordered else "not-well-ordered"
-    if (fast.well_ordered, fast.witness) != (failing is None, slow):
+    if (fast.well_ordered, getattr(fast.witness, "state", None)) != (failing is None, failing):
         return verdict, checks, "check-disagreement"
     # Heights on every case, not only the well-ordered ones: those
     # seldom have a component with two readers and no other path
@@ -390,7 +379,7 @@ def _examine(raw: Dfa, report: TrimReport):
     cond = condense(m)
     if list(cond.height_of) != _closure_heights(clo):
         return verdict, checks, "height-closure"
-    doc = {"start": m.start, "finals": sorted(m.finals), "delta": list(map(list, m.delta))}
+    doc = {"start": m.start, "finals": sorted(m.finals), "delta": m.delta}
     text = to_json(m)
     if text != json.dumps(doc, indent=2) + "\n" or from_json(text) != m:
         return verdict, checks, "json-text"
@@ -425,8 +414,6 @@ def _examine(raw: Dfa, report: TrimReport):
     for q in range(m.state_count):
         if table.per_state[q].degree > cond.height_of[q]:
             return verdict, checks, "height-bound"
-    if table.overall.degree > m.state_count:
-        return verdict, checks, "degree-bound"
     # x L(q) is a copy of L(q) inside L(m), so no type exceeds the start's.
     if any(table.overall < t for t in table.per_state):
         return verdict, checks, "type-above-start"
@@ -445,12 +432,13 @@ def _examine(raw: Dfa, report: TrimReport):
 
 def fuzz(seeds: int, states: int, *, exhaustive: bool = False) -> FuzzReport:
     """Differential sweep: the trim of each raw automaton against
-    `_trim_by_closure`, the analysis that trim hands over against a
-    fresh pass and against the reachability closure, `check`'s verdict and
-    witness against the closure's failing state, as `naive_check` finds
-    it, `condense` heights against the closure's count of components
-    below, the `to_json` text against `json.dumps` and back
-    through `from_json`, witnesses replayed to completion and compared
+    `_trim_by_closure`, the analysis memo that trim hands over (in the
+    output's `__dict__`) against a fresh pass and against the
+    reachability closure, `check`'s verdict and failing state against
+    the closure's, as `naive_check` finds them, `condense` heights
+    against the closure's count of components below, the `to_json`
+    text against `json.dumps` and back through `from_json`,
+    witnesses replayed to completion and compared
     with the least shortest words, and on well-ordered cases the
     order-type invariants (types in normal form that, with their
     descending sum, format and parse back, height bound, no type above
@@ -462,7 +450,8 @@ def fuzz(seeds: int, states: int, *, exhaustive: bool = False) -> FuzzReport:
     per seed.  Exhaustive mode walks every trim automaton with at most
     `states` states instead (cases are recorded only for failures).
     Both yield (key, raw automaton), and every case takes one path:
-    `trim`, then `_examine`.  An exhaustive automaton trims to itself.
+    `trim`, then `_examine`, which closes each distinct table once.  An
+    exhaustive automaton trims to itself, so its table is closed once.
     A negative seeds, or states below 1, raises ValueError before any
     automaton is examined.
     """

@@ -34,7 +34,7 @@ from ordfa.oracle import (
 from ordfa.ordinal import Ordinal, format_ordinal, parse_ordinal
 from ordfa.ordtype import OrderTypeTable, order_type
 from ordfa.synth import synth
-from ordfa.wellorder import CheckResult, Witness, check
+from ordfa.wellorder import CheckResult, Witness, build_witness, check
 
 ###############################################################################
 # enum_bounded
@@ -211,7 +211,7 @@ def _first_trim_results(max_states):
     0, in product order, and keep each result at its first appearance."""
     seen = set()
     for raw in _raw_dfas_with_start_0(max_states):
-        m = _trim_by_closure(raw).trimmed
+        m = _trim_by_closure(raw, _closure(raw.delta)).trimmed
         if m not in seen:
             seen.add(m)
             yield m
@@ -225,7 +225,7 @@ def test_exhaustive_yields_each_trim_result_at_its_first_appearance(max_states):
 @settings(max_examples=200)
 @given(raw_dfas(max_states=6))
 def test_trim_by_closure_mirrors_trim(m):
-    assert trim(m) == _trim_by_closure(m)
+    assert trim(m) == _trim_by_closure(m, _closure(m.delta))
 
 
 def test_trim_matches_trim_by_closure_exhaustively():
@@ -234,7 +234,7 @@ def test_trim_matches_trim_by_closure_exhaustively():
     # merged states and the sink.
     count = 0
     for m in all_tiny_automata():
-        assert trim(m) == _trim_by_closure(m), m
+        assert trim(m) == _trim_by_closure(m, _closure(m.delta)), m
         count += 1
     assert count == 17626
 
@@ -330,7 +330,7 @@ _RAW_REPORT = trim(_RAW)
     ids=["removed", "merged", "sink", "finals"],
 )
 def test_examine_flags_a_trim_report_that_the_closure_contradicts(wrong):
-    assert _trim_by_closure(_RAW) == _RAW_REPORT == TrimReport(
+    assert _trim_by_closure(_RAW, _closure(_RAW.delta)) == _RAW_REPORT == TrimReport(
         Dfa(delta=((1, 2), (1, 1), (2, 2)), start=0, finals={1}),
         removed_unreachable=frozenset({4}),
         merged_into_sink=frozenset({3}),
@@ -349,15 +349,16 @@ def test_closure_runs_once_per_examined_automaton(monkeypatch):
         return closure(rows)
 
     monkeypatch.setattr(oracle, "_closure", counting)
-    # The trimmed automaton is closed once, and then the trim reference
-    # closes raw: a seeded raw automaton, or a trim one, as exhaustive
-    # mode gives, on either verdict, which is its own trimmed automaton.
+    # Raw is closed for the trim reference, and then the trimmed
+    # automaton, when it is another table: a seeded raw automaton.  A
+    # trim one, as exhaustive mode gives, on either verdict, is its own
+    # trimmed automaton, and one closure serves both.
     assert _examine(_RAW, _RAW_REPORT)[2] is None
-    assert calls == [_RAW_REPORT.trimmed.delta, _RAW.delta]
+    assert calls == [_RAW.delta, _RAW_REPORT.trimmed.delta]
     for m in (M_CYCLE2, M_0STAR1):
         calls.clear()
         assert _examine(m, trim(m))[2] is None
-        assert calls == [m.delta, m.delta]
+        assert calls == [m.delta]
 
 
 def test_closure_heights_match_condense_exhaustively():
@@ -384,13 +385,50 @@ def test_examine_flags_an_analysis_that_is_not_kept(monkeypatch):
     assert _examine(m, trim(m)) == ("not-well-ordered", 0, "analysis-disagreement")
 
 
+@pytest.mark.parametrize(
+    "raw, verdict",
+    [
+        (_RAW, "not-well-ordered"),
+        # A Dfa of its own: trim hands a trim input back as it is.
+        (Dfa(delta=M_CYCLE2.delta, start=M_CYCLE2.start, finals=M_CYCLE2.finals), "well-ordered"),
+    ],
+    ids=["relabeled", "trim-input"],
+)
+def test_examine_flags_a_trim_output_without_its_memo(raw, verdict):
+    # Trim's output carries its analysis.  Without it, the first read
+    # runs a fresh pass whose equal record stays cached, so only the
+    # memo's absence before that read shows.
+    report = trim(raw)
+    vars(report.trimmed).pop("analysis")
+    assert _examine(raw, report) == (verdict, 0, "analysis-disagreement")
+
+
+# 0*10*1: states 0 and 1 both read a 0 inside their own component and
+# a 1 towards the final state 2; `check` names the least, 0.
+_TWO_FAILING = Dfa(delta=((0, 1), (1, 2), (3, 3), (3, 3)), start=0, finals={2})
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [CheckResult(True, None), CheckResult(False, build_witness(_TWO_FAILING, 1))],
+    ids=["verdict", "state"],
+)
+def test_examine_flags_a_check_that_the_closure_contradicts(monkeypatch, wrong):
+    # The second witness replays and its words are least for state 1,
+    # so only the failing state tells it apart.  The verdict shown is
+    # the closure's.
+    assert check(_TWO_FAILING).witness.state == 0
+    monkeypatch.setattr(oracle, "check", lambda m: wrong)
+    report = trim(_TWO_FAILING)
+    assert _examine(_TWO_FAILING, report) == ("not-well-ordered", 0, "check-disagreement")
+
+
 def test_examine_flags_a_witness_that_is_not_least(monkeypatch):
     # 0*1 fails at its start: the least witness is access "", loop "",
     # tail "".  The chain 00 (00)^n 1 replays just as well.
     assert check(M_0STAR1).witness == Witness(access="", loop="", tail="", state=0)
     longer = CheckResult(False, Witness(access="00", loop="", tail="", state=0))
     monkeypatch.setattr(oracle, "check", lambda m: longer)
-    monkeypatch.setattr(oracle, "build_witness", lambda m, q: longer.witness)
     assert _examine(M_0STAR1, trim(M_0STAR1)) == ("not-well-ordered", 1, "witness-not-least")
 
 
